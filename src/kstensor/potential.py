@@ -4,7 +4,9 @@ Solves -Laplace(v) = u on all of R^3 restricted to a cube, via discrete
 convolution with the kernel K(x) = 1/(4 pi |x|):
 
 * fast path: zero-padded FFT convolution (domain doubled per axis, so the
-  periodic product realizes the free-space sum exactly on the original box);
+  periodic product realizes the free-space sum exactly on the original box;
+  the transforms run axis by axis and skip the lines that are all zero on
+  the way in or cropped away on the way out);
 * direct path: O(N^2) double sum, an independent oracle for the fast path.
 
 Both paths share the same discretization: midpoint kernel samples, the
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
@@ -194,10 +196,27 @@ def _tables_for(grid: Grid3) -> _KernelTables:
 
 
 def _pad_rfftn(values: np.ndarray, n: int) -> np.ndarray:
+    """Spectrum of `values` zero-padded to (2n)^3, without forming the pad.
+
+    One axis at a time, each pass transforms only the lines that can hold
+    nonzero data: n^2 lines along z, n(n+1) along y, then 2n(n+1) along x.
+    """
     m = 2 * n
-    pad = np.zeros((m, m, m))
-    pad[:n, :n, :n] = values
-    return sfft.rfftn(pad, workers=_FFT_WORKERS)
+    spec = sfft.rfft(values, n=m, axis=2, workers=_FFT_WORKERS)
+    spec = sfft.fft(spec, n=m, axis=1, overwrite_x=True, workers=_FFT_WORKERS)
+    return sfft.fft(spec, n=m, axis=0, overwrite_x=True, workers=_FFT_WORKERS)
+
+
+def _crop_irfftn(spec: np.ndarray, n: int) -> np.ndarray:
+    """First-octant (n^3) view of the inverse of a (2n)^3 rfftn spectrum.
+
+    Crops after each axis, so later passes skip the lines that would be
+    thrown away. Consumes `spec`: its contents are overwritten.
+    """
+    m = 2 * n
+    out = sfft.ifft(spec, axis=0, overwrite_x=True, workers=_FFT_WORKERS)[:n]
+    out = sfft.ifft(out, axis=1, overwrite_x=True, workers=_FFT_WORKERS)[:, :n]
+    return sfft.irfft(out, n=m, axis=2, workers=_FFT_WORKERS)[:, :, :n]
 
 
 def _grad_centered(u: np.ndarray, h: float) -> list[np.ndarray]:
@@ -214,44 +233,46 @@ def _grad_centered(u: np.ndarray, h: float) -> list[np.ndarray]:
     return out
 
 
-def solve_potential_fast(u: DensityField) -> PotentialField:
-    """Free-space potential and gradient by zero-padded FFT convolution."""
+def _solve_fast(u: DensityField, with_potential: bool):
+    """Shared core of the FFT solvers: (v or None, [gx, gy, gz])."""
     grid = u.grid
     n, h = grid.n_cells, grid.h
     if n < FAST_MIN_CELLS:
         raise GridTooSmall(f"n_cells = {n} < {FAST_MIN_CELLS}")
-    m = 2 * n
     tab = _tables_for(grid)
     uh = _pad_rfftn(u.values, n)
+    work = np.empty_like(uh)  # per call, so concurrent solves share nothing
     scale = grid.cell_volume
-    v = sfft.irfftn(uh * tab.k_hat, s=(m, m, m), workers=_FFT_WORKERS)[:n, :n, :n] * scale
-    v += (_V_CORRECTION * h * h) * u.values
-    du = _grad_centered(u.values, h)
+
+    def convolve(kernel_hat: np.ndarray) -> np.ndarray:
+        np.multiply(uh, kernel_hat, out=work)
+        return _crop_irfftn(work, n) * scale
+
+    v = None
+    if with_potential:
+        v = convolve(tab.k_hat)
+        v += (_V_CORRECTION * h * h) * u.values
     grads = []
-    for g_hat, dui in zip(tab.g_hat, du):
-        g = sfft.irfftn(uh * g_hat, s=(m, m, m), workers=_FFT_WORKERS)[:n, :n, :n] * scale
+    for g_hat, dui in zip(tab.g_hat, _grad_centered(u.values, h)):
+        g = convolve(g_hat)
         g += (_G_CORRECTION * h * h) * dui
         grads.append(g)
-    return PotentialField(grid, v, *grads)
+    return v, grads
+
+
+def solve_potential_fast(u: DensityField) -> PotentialField:
+    """Free-space potential and gradient by zero-padded FFT convolution."""
+    v, (gx, gy, gz) = _solve_fast(u, with_potential=True)
+    return PotentialField(u.grid, v, gx, gy, gz)
 
 
 def solve_potential_gradient(u: DensityField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradient-only fast solve (skips the potential transform); solver hot path."""
-    grid = u.grid
-    n, h = grid.n_cells, grid.h
-    if n < FAST_MIN_CELLS:
-        raise GridTooSmall(f"n_cells = {n} < {FAST_MIN_CELLS}")
-    m = 2 * n
-    tab = _tables_for(grid)
-    uh = _pad_rfftn(u.values, n)
-    scale = grid.cell_volume
-    du = _grad_centered(u.values, h)
-    out = []
-    for g_hat, dui in zip(tab.g_hat, du):
-        g = sfft.irfftn(uh * g_hat, s=(m, m, m), workers=_FFT_WORKERS)[:n, :n, :n] * scale
-        g += (_G_CORRECTION * h * h) * dui
-        out.append(g)
-    return out[0], out[1], out[2]
+    """Gradient-only fast solve (skips the potential transform); solver hot path.
+
+    Bitwise equal to the gradient of `solve_potential_fast`.
+    """
+    _, (gx, gy, gz) = _solve_fast(u, with_potential=False)
+    return gx, gy, gz
 
 
 def solve_potential_direct(u: DensityField, chunk: int = 1024) -> PotentialField:

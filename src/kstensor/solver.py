@@ -3,7 +3,8 @@
 Each step splits the dynamics:
 
 1. solve the free-space potential of the current density and form the drift
-   velocity b = chi * A grad(v);
+   velocity b = chi * A grad(v) (a step right after a diagnostics record
+   reuses that record's potential, so each step costs one solve);
 2. conservative first-order upwind advection of u by b (flux form, face
    velocities averaged from the adjacent cells, closed box walls);
 3. diffusion over dt: exact spectral heat multiplier exp(-|k|^2 dt) on the
@@ -24,10 +25,9 @@ from __future__ import annotations
 import logging
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import CflViolation, ConfigInvalid, NonFiniteField, SupportTooLarge
 from .functionals import (
@@ -40,10 +40,13 @@ from .matrixflux import FluxTensor, load_matrix, parse_matrix_inline
 from .potential import (
     DensityField,
     Grid3,
-    _FFT_WORKERS,
+    PotentialField,
+    _crop_irfftn,
+    _pad_rfftn,
     _tables_for,
     load_field,
     save_field,
+    solve_potential_fast,
     solve_potential_gradient,
 )
 
@@ -181,7 +184,7 @@ def make_initial_data(
 
 
 def _drift_velocity(
-    u: DensityField, flux: FluxTensor, chi: float, pot=None
+    u: DensityField, flux: FluxTensor, chi: float, pot: PotentialField | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if pot is None:
         gx, gy, gz = solve_potential_gradient(u)
@@ -234,13 +237,9 @@ def _diffuse(values: np.ndarray, grid: Grid3, dt: float) -> np.ndarray:
             la[:-1] += ua[1:]
             la[-1] += ua[-1]
         return values + nu * lap
-    n = grid.n_cells
-    m = 2 * n
-    pad = np.zeros((m, m, m))
-    pad[:n, :n, :n] = values
-    uh = sfft.rfftn(pad, workers=_FFT_WORKERS)
+    uh = _pad_rfftn(values, grid.n_cells)
     uh *= np.exp(-_tables_for(grid).k_squared * dt)
-    out = sfft.irfftn(uh, s=(m, m, m), workers=_FFT_WORKERS)[:n, :n, :n]
+    out = _crop_irfftn(uh, grid.n_cells)
     mn = float(out.min())
     if mn < 0.0:
         sup = float(out.max())
@@ -296,8 +295,10 @@ def run(config: SimConfig, flux: FluxTensor | None = None) -> SimOutcome:
     message = ""
     min_density = float(u.values.min())
 
-    def _record(state: DensityField, at: float, pot=None) -> None:
+    def _record(state: DensityField, at: float) -> PotentialField:
+        pot = solve_potential_fast(state)
         records.append(compute_record(state, flux, config.chi, at, pot=pot))
+        return pot
 
     def _snapshot(state: DensityField, at: float) -> None:
         if config.output_dir:
@@ -306,7 +307,8 @@ def run(config: SimConfig, flux: FluxTensor | None = None) -> SimOutcome:
 
     if config.output_dir:
         os.makedirs(config.output_dir, exist_ok=True)
-    _record(u, t)
+    # the potential of the state last recorded; the next drift reuses it
+    pot = _record(u, t)
     logger.info(
         "run start: %d^3 grid, h=%.4g, chi=%.6g, sup0=%.6g, mass=%.12g",
         grid.n_cells, h, config.chi, sup0, u.mass,
@@ -317,7 +319,7 @@ def run(config: SimConfig, flux: FluxTensor | None = None) -> SimOutcome:
             bfaces = None
             dt = config.dt_max
         else:
-            b = _drift_velocity(u, flux, config.chi)
+            b = _drift_velocity(u, flux, config.chi, pot=pot)
             bfaces = [_face_velocities(b[ax], ax) for ax in range(3)]
             b_l1 = float((np.abs(b[0]) + np.abs(b[1]) + np.abs(b[2])).max())
             dt = config.dt_max if b_l1 == 0.0 else min(config.dt_max, config.cfl * h / b_l1)
@@ -338,6 +340,7 @@ def run(config: SimConfig, flux: FluxTensor | None = None) -> SimOutcome:
             logger.error("aborting at t=%.6g: %s", t, message)
             break
         u = DensityField(grid, vals)
+        pot = None
         min_density = min(min_density, float(vals.min()))
         t += dt
         steps += 1
@@ -346,7 +349,7 @@ def run(config: SimConfig, flux: FluxTensor | None = None) -> SimOutcome:
             _snapshot(u, t)
             pending_snapshots.pop(0)
         if steps % config.diagnostics_every == 0:
-            _record(u, t)
+            pot = _record(u, t)
         sup = float(u.values.max())
         if sup >= config.blowup_factor * sup0:
             status = "NumericalBlowup"

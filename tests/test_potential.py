@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from scipy.special import erf
 
 from kstensor.errors import DomainError, GridTooSmall, TooLarge
@@ -9,6 +10,8 @@ from kstensor.potential import (
     CUBE_MEAN_INV_R,
     DensityField,
     Grid3,
+    _crop_irfftn,
+    _pad_rfftn,
     grad_kernel,
     kernel_value,
     load_field,
@@ -134,6 +137,28 @@ class TestOracleEquivalence:
         gx, gy, gz = solve_potential_gradient(u)
         np.testing.assert_array_equal(gx, pot.gx)
         np.testing.assert_array_equal(gz, pot.gz)
+
+
+class TestPrunedTransforms:
+    """The axis-by-axis padded transforms against full (2n)^3 transforms."""
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_pad_rfftn_matches_explicit_pad(self, n):
+        values = np.random.default_rng(n).random((n, n, n))
+        pad = np.zeros((2 * n,) * 3)
+        pad[:n, :n, :n] = values
+        ref = sfft.rfftn(pad)
+        got = _pad_rfftn(values, n)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_crop_irfftn_matches_cropped_inverse(self, n):
+        spec = sfft.rfftn(np.random.default_rng(n + 1).standard_normal((2 * n,) * 3))
+        ref = sfft.irfftn(spec, s=(2 * n,) * 3)[:n, :n, :n]
+        got = _crop_irfftn(spec.copy(), n)
+        assert got.shape == (n, n, n)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestPointSource:

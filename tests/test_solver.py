@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from kstensor.solver import (
 )
 
 IDENTITY = FluxTensor.from_matrix(np.eye(3))
+PRESETS = Path(__file__).resolve().parent.parent / "presets"
 
 
 def small_config(**overrides):
@@ -215,6 +217,37 @@ class TestRun:
         data = np.genfromtxt(str(outdir / "diagnostics.csv"), delimiter=",", names=True)
         assert data["t"].shape[0] == len(out.records)
 
+    def test_record_potential_feeds_next_drift(self, monkeypatch):
+        # a record's full solve also drives the next step, so every step
+        # costs one solve and the trajectory does not depend on the cadence
+        calls = {"solve_potential_fast": 0, "solve_potential_gradient": 0}
+
+        def counted(name):
+            fn = getattr(sv, name)
+
+            def wrapper(u):
+                calls[name] += 1
+                return fn(u)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(sv, name, counted(name))
+        finals = []
+        for every in (1, 7):
+            for name in calls:
+                calls[name] = 0
+            cfg = small_config(
+                chi=50.0, half_width=6.0, t_end=0.05, dt_max=0.005, diagnostics_every=every
+            )
+            out = run(cfg)
+            assert out.status == "CompletedToTEnd"
+            assert out.steps > every
+            assert sum(calls.values()) == out.steps + 1
+            finals.append(out.records[-1])
+        for attr in ("t", "mass", "m2", "w", "J", "linf", "gradv_sup"):
+            assert getattr(finals[0], attr) == getattr(finals[1], attr), attr
+
     def test_quarter_turn_covariance(self):
         # rotating the initial data by 90 degrees about z commutes with the
         # discrete evolution exactly (stencil and kernel share that symmetry)
@@ -291,5 +324,5 @@ diagnostics_every = 5
 
     def test_presets_parse(self):
         for name in ("blowup", "global", "diffusion"):
-            cfg = load_config(f"presets/{name}.cfg")
+            cfg = load_config(str(PRESETS / f"{name}.cfg"))
             cfg.validate()
