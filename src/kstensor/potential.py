@@ -174,9 +174,6 @@ class _KernelTables:
         self.g_hat = [
             sfft.rfftn(dd * g, workers=_FFT_WORKERS) for dd in (dx, dy, dz)
         ]
-        kk = 2.0 * math.pi * sfft.fftfreq(m, d=h)
-        kz = 2.0 * math.pi * sfft.rfftfreq(m, d=h)
-        self.k_squared = (kk**2)[:, None, None] + (kk**2)[None, :, None] + (kz**2)[None, None, :]
 
 
 _tables_lock = threading.Lock()
@@ -311,11 +308,6 @@ def solve_potential_direct(u: DensityField, chunk: int = 1024) -> PotentialField
         g[c].reshape(shape) * scale + (_G_CORRECTION * h * h) * du[c] for c in range(3)
     ]
     return PotentialField(grid, vv, gg[0], gg[1], gg[2])
-
-
-def heat_multiplier_squared_wavenumbers(grid: Grid3) -> np.ndarray:
-    """|k|^2 on the zero-extended (doubled) box, for the exact heat semigroup."""
-    return _tables_for(grid).k_squared
 
 
 # ---------------------------------------------------------------------------

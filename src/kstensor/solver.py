@@ -7,13 +7,11 @@ Each step splits the dynamics:
    reuses that record's potential, so each step costs one solve);
 2. conservative first-order upwind advection of u by b (flux form, face
    velocities averaged from the adjacent cells, closed box walls);
-3. diffusion over dt: exact spectral heat multiplier exp(-|k|^2 dt) on the
-   zero-extended box when the step is large (dt > h^2/6), otherwise an
-   explicit 7-point stencil with reflecting walls. The explicit branch is
-   what the CFL-limited collapse regime runs on; it is exactly conservative
-   and positivity-preserving (nu = dt/h^2 <= 1/6), whereas the spectral
-   multiplier applied to under-resolved peaks rings negative at levels far
-   above round-off.
+3. diffusion over dt by the explicit 7-point stencil with reflecting walls.
+   A step with nu = dt/h^2 above 1/6 is split into ceil(6 nu) equal
+   sub-steps, so every application keeps nu <= 1/6: each one is exactly
+   conservative and maps non-negative data to non-negative data, with no
+   clamp. The CFL-limited steps of a collapse run take a single sub-step.
 
 The step size adapts to the advective CFL limit; runs stop at t_end, on the
 sup-norm blow-up trigger, or when dt collapses below dt_min (both of the
@@ -41,9 +39,6 @@ from .potential import (
     DensityField,
     Grid3,
     PotentialField,
-    _crop_irfftn,
-    _pad_rfftn,
-    _tables_for,
     load_field,
     save_field,
     solve_potential_fast,
@@ -52,9 +47,13 @@ from .potential import (
 
 logger = logging.getLogger(__name__)
 
-# clamp guard for the spectral diffusion branch: negatives beyond this times
-# the sup norm indicate an under-resolved field reached the spectral path
-SPECTRAL_CLAMP_LIMIT = 1e-13
+# a step that would stop this close to t_end (relative to t_end) ends on it:
+# the time accumulated by t += dt is off by round-off
+_T_END_SNAP = 1e-12
+
+_FLOAT_FIELDS = (
+    "chi", "half_width", "t_end", "cfl", "dt_max", "dt_min", "blowup_factor", "epsilon",
+)
 
 
 @dataclass(frozen=True)
@@ -89,6 +88,13 @@ class SimConfig:
     snapshot_times: tuple[float, ...] = ()
 
     def validate(self) -> None:
+        ini = self.initial
+        numbers = {name: getattr(self, name) for name in _FLOAT_FIELDS}
+        numbers.update(matrix=self.matrix, snapshot_times=self.snapshot_times)
+        numbers.update(mass=ini.mass, sigma=ini.sigma, center=ini.center, radius=ini.radius)
+        for name, value in numbers.items():
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ConfigInvalid(f"{name} must be finite, got {value}")
         if self.chi < 0.0:
             raise ConfigInvalid(f"chi must be >= 0, got {self.chi}")
         if not (self.t_end > 0.0):
@@ -225,9 +231,16 @@ def _advect(u: np.ndarray, bfaces: list[np.ndarray], dt: float, h: float) -> np.
 
 
 def _diffuse(values: np.ndarray, grid: Grid3, dt: float) -> np.ndarray:
+    """Heat flow over dt by explicit 7-point sub-steps, each with nu <= 1/6."""
     h = grid.h
     nu = dt / (h * h)
-    if nu <= 1.0 / 6.0:
+    substeps = 1
+    if nu > 1.0 / 6.0:
+        substeps = math.ceil(6.0 * nu)
+        if nu / substeps > 1.0 / 6.0:  # 6.0 * nu rounded down to an integer
+            substeps += 1
+        nu /= substeps
+    for _ in range(substeps):
         lap = -6.0 * values
         for ax in range(3):
             ua = np.moveaxis(values, ax, 0)
@@ -236,20 +249,8 @@ def _diffuse(values: np.ndarray, grid: Grid3, dt: float) -> np.ndarray:
             la[0] += ua[0]
             la[:-1] += ua[1:]
             la[-1] += ua[-1]
-        return values + nu * lap
-    uh = _pad_rfftn(values, grid.n_cells)
-    uh *= np.exp(-_tables_for(grid).k_squared * dt)
-    out = _crop_irfftn(uh, grid.n_cells)
-    mn = float(out.min())
-    if mn < 0.0:
-        sup = float(out.max())
-        if mn < -SPECTRAL_CLAMP_LIMIT * sup:
-            logger.warning(
-                "spectral diffusion clamped negatives at %.3e of sup (field under-resolved)",
-                mn / sup if sup > 0 else mn,
-            )
-        np.maximum(out, 0.0, out=out)
-    return out
+        values = values + nu * lap
+    return values
 
 
 def step(u: DensityField, flux: FluxTensor, chi: float, dt: float) -> DensityField:
@@ -330,7 +331,10 @@ def run(config: SimConfig, flux: FluxTensor | None = None) -> SimOutcome:
             status = "NumericalBlowup"
             message = f"time step collapsed below dt_min ({dt:.3e} < {config.dt_min:.3e})"
             break
-        dt = min(dt, config.t_end - t)
+        remaining = config.t_end - t
+        last = dt >= remaining - _T_END_SNAP * config.t_end
+        if last:
+            dt = remaining
 
         adv = u.values if bfaces is None else _advect(u.values, bfaces, dt, h)
         vals = _diffuse(adv, grid, dt)
@@ -342,7 +346,7 @@ def run(config: SimConfig, flux: FluxTensor | None = None) -> SimOutcome:
         u = DensityField(grid, vals)
         pot = None
         min_density = min(min_density, float(vals.min()))
-        t += dt
+        t = config.t_end if last else t + dt
         steps += 1
 
         while pending_snapshots and t >= pending_snapshots[0]:

@@ -50,8 +50,6 @@ def density_suite(n_cells: int = 32, half_width: float = 4.0) -> list[tuple[str,
         rho = mass / (4.0 / 3.0 * math.pi * radius**3)
         return np.where(r2 <= radius * radius, rho, 0.0)
 
-    rng = np.random.default_rng(2024)
-
     def smooth_random(seed):
         rng_l = np.random.default_rng(seed)
         raw = rng_l.random((n_cells, n_cells, n_cells))
@@ -64,7 +62,6 @@ def density_suite(n_cells: int = 32, half_width: float = 4.0) -> list[tuple[str,
         envelope = np.exp(-r2 / (2.0 * (half_width / 3.5) ** 2))
         return raw * envelope
 
-    del rng
     shell = np.exp(-((np.sqrt(r2) - 1.0) ** 2) / (2 * 0.3**2))
     fields = [
         ("gaussian_s0.5", gaussian(1.0, 0.5)),

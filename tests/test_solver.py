@@ -106,7 +106,7 @@ class TestStep:
         r2 = x * x + y * y + z * z
         sig = 1.0
         u = DensityField(grid, (2 * math.pi * sig**2) ** -1.5 * np.exp(-r2 / (2 * sig**2)))
-        dt = 0.05  # above h^2/6: exercises the spectral branch
+        dt = 0.05  # above h^2/6: exercises the sub-cycled stencil
         for _ in range(4):
             u = step(u, IDENTITY, chi=0.0, dt=dt)
         s2 = sig**2 + 2 * 4 * dt
@@ -118,6 +118,34 @@ class TestStep:
         x, y, z = grid.meshes()
         u = DensityField(grid, (2 * math.pi) ** -1.5 * np.exp(-(x * x + y * y + z * z) / 2))
         dt = 0.01  # below h^2/6: explicit stencil
+        m0 = second_moment(u)
+        u = step(u, IDENTITY, chi=0.0, dt=dt)
+        assert second_moment(u) - m0 == pytest.approx(6 * u.mass * dt, rel=1e-6)
+
+    def test_subcycled_step_equals_two_small_steps(self):
+        grid = Grid3(32, 10.0)
+        x, y, z = grid.meshes()
+        u = (2 * math.pi) ** -1.5 * np.exp(-(x * x + y * y + z * z) / 2)
+        dt0 = 0.9 * grid.h**2 / 6
+        twice = sv._diffuse(sv._diffuse(u, grid, dt0), grid, dt0)
+        np.testing.assert_array_equal(sv._diffuse(u, grid, 2 * dt0), twice)
+
+    def test_subcycled_spike_conserves_mass_and_positivity(self):
+        grid = Grid3(16, 2.0)
+        u = np.zeros((16, 16, 16))
+        u[5, 8, 11] = 1.0 / grid.cell_volume
+        # dt/h^2 rounds to just above 10/6, so ten sub-steps would each
+        # exceed 1/6 by an ulp and drive the emptied spike cell negative
+        out = sv._diffuse(u, grid, 10 * grid.h**2 / 6)
+        assert out.min() >= 0.0
+        assert np.count_nonzero(out) > 1
+        assert abs(out.sum() - u.sum()) / u.sum() <= 1e-14
+
+    def test_subcycled_moment_growth(self):
+        grid = Grid3(32, 10.0)
+        x, y, z = grid.meshes()
+        u = DensityField(grid, (2 * math.pi) ** -1.5 * np.exp(-(x * x + y * y + z * z) / 2))
+        dt = 0.2  # about 3 h^2/6: four sub-steps
         m0 = second_moment(u)
         u = step(u, IDENTITY, chi=0.0, dt=dt)
         assert second_moment(u) - m0 == pytest.approx(6 * u.mass * dt, rel=1e-6)
@@ -199,6 +227,17 @@ class TestRun:
         out = run(small_config())
         assert out.status == "Aborted"
         assert "non-finite" in out.message
+
+    def test_stops_exactly_at_t_end(self):
+        # t_end = 10 dt_max: accumulated round-off must not cost an extra,
+        # vanishing step and a duplicate record
+        out = run(small_config(t_end=0.05, dt_max=0.005))
+        assert out.status == "CompletedToTEnd"
+        assert out.steps == 10
+        assert out.t_final == 0.05
+        times = [r.t for r in out.records]
+        assert times[-1] == 0.05
+        assert min(b - a for a, b in zip(times, times[1:])) > 1e-12
 
     def test_artifacts_written(self, tmp_path):
         outdir = tmp_path / "artifacts"
@@ -313,6 +352,29 @@ diagnostics_every = 5
     def test_rejects_bad_blowup_factor(self):
         with pytest.raises(ConfigInvalid, match="blowup_factor"):
             parse_config(self.GOOD + "\nblowup_factor = 0.5\n")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name",
+        ["chi", "half_width", "t_end", "cfl", "dt_max", "dt_min", "blowup_factor", "epsilon"],
+    )
+    def test_rejects_nonfinite(self, name, value):
+        with pytest.raises(ConfigInvalid, match=name):
+            small_config(**{name: value}).validate()
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("mass", math.nan), ("radius", math.inf), ("sigma", (1.0, math.nan, 1.0)),
+         ("center", (0.0, 0.0, -math.inf)), ("snapshot_times", (0.5, math.nan)),
+         ("matrix", np.diag([1.0, math.nan, 1.0]))],
+    )
+    def test_rejects_nonfinite_entries(self, name, value):
+        if name in ("mass", "radius", "sigma", "center"):
+            cfg = small_config(initial=InitialData(kind="gaussian", **{name: value}))
+        else:
+            cfg = small_config(**{name: value})
+        with pytest.raises(ConfigInvalid, match=name):
+            cfg.validate()
 
     def test_matrix_file_reference(self, tmp_path):
         mfile = tmp_path / "mat.txt"
