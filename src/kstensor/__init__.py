@@ -19,7 +19,6 @@ from .errors import (
     GridTooSmall,
     HypothesisViolated,
     KSTensorError,
-    NonFiniteField,
     NonPositiveMoment,
     NotOrthogonal,
     NotSPD,

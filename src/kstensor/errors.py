@@ -63,7 +63,3 @@ class SupportTooLarge(KSTensorError):
 
 class CflViolation(KSTensorError):
     """Time step exceeds the advective stability limit."""
-
-
-class NonFiniteField(KSTensorError):
-    """NaN or Inf detected in the evolving field."""

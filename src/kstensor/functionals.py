@@ -25,6 +25,7 @@ from .matrixflux import FluxTensor
 from .potential import (
     DensityField,
     PotentialField,
+    _pair_blocks,
     solve_potential_direct,
     solve_potential_fast,
     unit_ball_volume,
@@ -94,7 +95,14 @@ def interaction_integral_direct(u: DensityField) -> float:
     return interaction_integral(u, pot=solve_potential_direct(u))
 
 
-def interaction_symmetrized_direct(u: DensityField, u_orth: np.ndarray, chunk: int = 1024) -> float:
+def _scaled_product(a: np.ndarray, coef: float, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(coef * a) * b, written into out."""
+    np.multiply(a, coef, out=out)
+    out *= b
+    return out
+
+
+def interaction_symmetrized_direct(u: DensityField, u_orth: np.ndarray) -> float:
     """Direct evaluation of -(1/(n omega_n)) * sum over pairs of d.U d / |d|^n * u u.
 
     This is the symmetrized (exchange x and y) form of the advective moment
@@ -110,22 +118,23 @@ def interaction_symmetrized_direct(u: DensityField, u_orth: np.ndarray, chunk: i
     coords = [x.ravel()[support], y.ravel()[support], z.ravel()[support]]
     uf = uf[support]
     s_mat = 0.5 * (np.asarray(u_orth, dtype=float) + np.asarray(u_orth, dtype=float).T)
-    total = 0.0
-    for s in range(0, uf.size, chunk):
-        rows = slice(s, min(s + chunk, uf.size))
-        d = [c[rows, None] - c[None, :] for c in coords]
-        r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
-        quad = (
-            s_mat[0, 0] * d[0] * d[0]
-            + s_mat[1, 1] * d[1] * d[1]
-            + s_mat[2, 2] * d[2] * d[2]
-            + 2.0 * (s_mat[0, 1] * d[0] * d[1] + s_mat[0, 2] * d[0] * d[2] + s_mat[1, 2] * d[1] * d[2])
-        )
-        np.sqrt(r2, out=r2)
-        r2 *= r2 * r2  # |d|^3
-        np.divide(quad, r2, out=quad, where=r2 > 0.0)
-        quad[r2 == 0.0] = 0.0
-        total += float(uf[rows] @ quad @ uf)
+    rowsum = np.empty(uf.size)
+    for rows, d, r, (quad, tmp, cross) in _pair_blocks(coords, 3):
+        # quad = d . S d, summed in the order of the written-out quadratic form
+        d0, d1, d2 = d
+        _scaled_product(d0, s_mat[0, 0], d0, out=quad)
+        quad += _scaled_product(d1, s_mat[1, 1], d1, out=tmp)
+        quad += _scaled_product(d2, s_mat[2, 2], d2, out=tmp)
+        _scaled_product(d0, s_mat[0, 1], d1, out=cross)
+        cross += _scaled_product(d0, s_mat[0, 2], d2, out=tmp)
+        cross += _scaled_product(d1, s_mat[1, 2], d2, out=tmp)
+        cross *= 2.0
+        quad += cross
+        np.multiply(r, r, out=tmp)
+        r *= tmp  # |d|^3, inf on the self pair
+        quad /= r
+        rowsum[rows] = quad @ uf
+    total = float(uf @ rowsum)
     return -total * grid.cell_volume**2 / (n * unit_ball_volume(n))
 
 
@@ -169,6 +178,21 @@ def moment_rhs_identity(
     return 2.0 * flux.trace_pinv * m_tot + 2.0 * chi * advective
 
 
+def aggregation_coefficient(flux: FluxTensor, chi: float, n: int = 3) -> float:
+    """c = 2^(1-n/2) chi kappa lambda_min^(n/2-1) / (n omega_n).
+
+    The aggregation term of the moment inequality is c M^(n/2+1) w^(1-n/2);
+    the bound, the moment ODE rate and C_Bl all read it from here.
+    """
+    return (
+        2.0 ** (1.0 - n / 2.0)
+        * chi
+        * flux.kappa
+        * flux.lam_min ** (n / 2.0 - 1.0)
+        / (n * unit_ball_volume(n))
+    )
+
+
 def moment_rhs_bound(w: float, m_tot: float, flux: FluxTensor, chi: float, n: int = 3) -> float:
     """Upper bound for dw/dt:
 
@@ -179,17 +203,8 @@ def moment_rhs_bound(w: float, m_tot: float, flux: FluxTensor, chi: float, n: in
         raise NonPositiveMoment(f"weighted moment must be positive, got {w}")
     if m_tot <= 0.0:
         raise NonPositiveMoment(f"mass must be positive, got {m_tot}")
-    omega_n = unit_ball_volume(n)
-    coeff = (
-        2.0 ** (1.0 - n / 2.0)
-        * chi
-        * flux.kappa
-        * m_tot ** (n / 2.0 + 1.0)
-        / (n * omega_n)
-    )
-    return 2.0 * flux.trace_pinv * m_tot - coeff * flux.lam_min ** (n / 2.0 - 1.0) * w ** (
-        1.0 - n / 2.0
-    )
+    aggregation = aggregation_coefficient(flux, chi, n) * m_tot ** (n / 2.0 + 1.0)
+    return 2.0 * flux.trace_pinv * m_tot - aggregation * w ** (1.0 - n / 2.0)
 
 
 def gradv_sup_bound(

@@ -41,6 +41,10 @@ _V_CORRECTION = 1.0 / 24.0
 _G_CORRECTION = 1.0 / 24.0 + CUBE_MEAN_INV_R / (12.0 * math.pi)
 
 DIRECT_MAX_CELLS = 24  # cost guard for the O(N^2) oracle
+# pair entries per row block of the O(N^2) oracles: about 1 MB per float64
+# buffer, so a block's working set stays in cache and below the allocator's
+# mmap threshold
+_BLOCK_PAIRS = 1 << 17
 FAST_MIN_CELLS = 16
 
 _FFT_WORKERS = -1  # scipy.fft uses all available cores
@@ -272,7 +276,37 @@ def solve_potential_gradient(u: DensityField) -> tuple[np.ndarray, np.ndarray, n
     return gx, gy, gz
 
 
-def solve_potential_direct(u: DensityField, chunk: int = 1024) -> PotentialField:
+def _pair_blocks(coords: list[np.ndarray], n_work: int):
+    """Row blocks of the pair geometry shared by the O(N^2) oracles.
+
+    Yields (rows, d, r, work) per block of target rows: d[c] holds
+    coords[c][rows, None] - coords[c][None, :], r = |d| with the self pair's
+    distance set to inf (so 1/r is exactly 0 there), and work is n_work >= 1
+    scratch planes of the same shape. All of them are views into buffers
+    allocated once per call and overwritten by the next block.
+    """
+    ncells = coords[0].size
+    nrows = max(1, min(ncells, _BLOCK_PAIRS // max(ncells, 1)))
+    d_buf = np.empty((3, nrows, ncells))
+    r_buf = np.empty((nrows, ncells))
+    work_buf = np.empty((n_work, nrows, ncells))
+    for s in range(0, ncells, nrows):
+        e = min(s + nrows, ncells)
+        d, r, work = d_buf[:, : e - s], r_buf[: e - s], work_buf[:, : e - s]
+        sq = work[0]
+        for c in range(3):
+            np.subtract(coords[c][s:e, None], coords[c][None, :], out=d[c])
+        np.multiply(d[0], d[0], out=r)
+        np.multiply(d[1], d[1], out=sq)
+        r += sq
+        np.multiply(d[2], d[2], out=sq)
+        r += sq
+        np.sqrt(r, out=r)
+        np.fill_diagonal(r[:, s:e], np.inf)
+        yield slice(s, e), d, r, work
+
+
+def solve_potential_direct(u: DensityField) -> PotentialField:
     """O(N^2) double-sum oracle; independent code path from the FFT solver."""
     grid = u.grid
     n, h = grid.n_cells, grid.h
@@ -286,16 +320,11 @@ def solve_potential_direct(u: DensityField, chunk: int = 1024) -> PotentialField
     g = [np.empty(ncells) for _ in range(3)]
     self_k = CUBE_MEAN_INV_R / (4.0 * math.pi * h)
     inv4pi = 1.0 / (4.0 * math.pi)
-    for s in range(0, ncells, chunk):
-        rows = slice(s, min(s + chunk, ncells))
-        d = [c[rows, None] - c[None, :] for c in coords]
-        r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
-        np.sqrt(r2, out=r2)
-        inv_r = np.zeros_like(r2)
-        np.divide(1.0, r2, out=inv_r, where=r2 > 0.0)
-        # the singular self pair (zero in inv_r) carries the analytic cell mean
+    for rows, d, r, (inv_r, cube) in _pair_blocks(coords, 2):
+        np.divide(1.0, r, out=inv_r)
+        # the singular self pair (1/inf = 0 in inv_r) carries the analytic cell mean
         v[rows] = inv4pi * (inv_r @ uf) + self_k * uf[rows]
-        cube = inv_r * inv_r
+        np.multiply(inv_r, inv_r, out=cube)
         cube *= inv_r
         for c in range(3):
             d[c] *= cube

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CflViolation, ConfigInvalid, NonFiniteField, SupportTooLarge
+from .errors import CflViolation, ConfigInvalid, SupportTooLarge
 from .functionals import (
     DiagnosticsRecord,
     compute_record,
@@ -36,6 +36,7 @@ from .functionals import (
 )
 from .matrixflux import FluxTensor, load_matrix, parse_matrix_inline
 from .potential import (
+    FAST_MIN_CELLS,
     DensityField,
     Grid3,
     PotentialField,
@@ -47,8 +48,8 @@ from .potential import (
 
 logger = logging.getLogger(__name__)
 
-# a step that would stop this close to t_end (relative to t_end) ends on it:
-# the time accumulated by t += dt is off by round-off
+# a step that would stop this close to t_end or to a snapshot time (relative
+# to t_end) ends on it: the time accumulated by t += dt is off by round-off
 _T_END_SNAP = 1e-12
 
 _FLOAT_FIELDS = (
@@ -111,6 +112,14 @@ class SimConfig:
             raise ConfigInvalid(f"unknown initial data kind {self.initial.kind!r}")
         if self.epsilon is not None and self.epsilon <= 0.0:
             raise ConfigInvalid(f"epsilon must be positive, got {self.epsilon}")
+        shape = np.shape(self.matrix)
+        if shape != (3, 3):
+            raise ConfigInvalid(f"matrix must be 3x3 for a grid run, got shape {shape}")
+        outside = [t for t in self.snapshot_times if not 0.0 < t <= self.t_end]
+        if outside:
+            raise ConfigInvalid(f"snapshot times must lie in (0, t_end], got {outside}")
+        if self.n_cells < FAST_MIN_CELLS:
+            raise ConfigInvalid(f"n_cells must be >= {FAST_MIN_CELLS}, got {self.n_cells}")
         Grid3(self.n_cells, self.half_width)  # raises on bad grid parameters
 
     @property
@@ -331,9 +340,11 @@ def run(config: SimConfig, flux: FluxTensor | None = None) -> SimOutcome:
             status = "NumericalBlowup"
             message = f"time step collapsed below dt_min ({dt:.3e} < {config.dt_min:.3e})"
             break
-        remaining = config.t_end - t
-        last = dt >= remaining - _T_END_SNAP * config.t_end
-        if last:
+        # the step ends on the next snapshot time, or on t_end, if it reaches it
+        stop = pending_snapshots[0] if pending_snapshots else config.t_end
+        remaining = stop - t
+        land = dt >= remaining - _T_END_SNAP * config.t_end
+        if land:
             dt = remaining
 
         adv = u.values if bfaces is None else _advect(u.values, bfaces, dt, h)
@@ -346,7 +357,7 @@ def run(config: SimConfig, flux: FluxTensor | None = None) -> SimOutcome:
         u = DensityField(grid, vals)
         pot = None
         min_density = min(min_density, float(vals.min()))
-        t = config.t_end if last else t + dt
+        t = stop if land else t + dt
         steps += 1
 
         while pending_snapshots and t >= pending_snapshots[0]:

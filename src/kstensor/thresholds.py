@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadExponent, BadParameter, HypothesisViolated, NonPositiveMoment, ZeroField
-from .functionals import lq_norm, second_moment
+from .functionals import aggregation_coefficient, lq_norm, second_moment
 from .matrixflux import FluxTensor
-from .potential import DensityField, Grid3, unit_ball_volume
+from .potential import DensityField, Grid3
 
 # round-off guard on the admissibility comparison: data re-measured from a
 # grid may land on the threshold to within quadrature noise
@@ -48,13 +48,8 @@ def blowup_constant(flux: FluxTensor, chi: float, n: int = 3) -> float:
         raise HypothesisViolated(
             f"flux matrix fails the structural hypothesis (kappa = {flux.kappa:.6g})"
         )
-    omega_n = unit_ball_volume(n)
-    bracket = (
-        2.0 ** (1.0 - n / 2.0)
-        * chi
-        * flux.kappa
-        * flux.lam_min ** (n / 2.0 - 1.0)
-        / (2.0 * flux.trace_pinv * flux.lam_max ** (n / 2.0 - 1.0) * n * omega_n)
+    bracket = aggregation_coefficient(flux, chi, n) / (
+        2.0 * flux.trace_pinv * flux.lam_max ** (n / 2.0 - 1.0)
     )
     return float(bracket ** (2.0 / (n - 2.0)))
 
@@ -62,15 +57,7 @@ def blowup_constant(flux: FluxTensor, chi: float, n: int = 3) -> float:
 def moment_ode_rate(w: float, m_tot: float, flux: FluxTensor, chi: float, n: int = 3) -> float:
     """f(w) = 2 Tr(P^(-1)) M w^(n/2-1) - 2^(1-n/2) chi kappa M^(n/2+1)
     lambda_min^(n/2-1) / (n omega_n); (2/n) d/dt w^(n/2) <= f(w)."""
-    omega_n = unit_ball_volume(n)
-    const = (
-        2.0 ** (1.0 - n / 2.0)
-        * chi
-        * flux.kappa
-        * m_tot ** (n / 2.0 + 1.0)
-        * flux.lam_min ** (n / 2.0 - 1.0)
-        / (n * omega_n)
-    )
+    const = aggregation_coefficient(flux, chi, n) * m_tot ** (n / 2.0 + 1.0)
     return 2.0 * flux.trace_pinv * m_tot * w ** (n / 2.0 - 1.0) - const
 
 

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kstensor import functionals as fn
+from kstensor import potential
 from kstensor.errors import BadParameter, NonPositiveMoment, NotSPD, ZeroField
 from kstensor.matrixflux import FluxTensor, rotation_z
 from kstensor.potential import DensityField, Grid3, solve_potential_fast
@@ -158,6 +160,27 @@ class TestMomentRhs:
             u, flux.u_orth
         )
         assert ident == pytest.approx(sym, rel=1e-2)
+
+    def test_symmetrized_peak_memory_below_16mb(self):
+        # fixed-size row blocks: the working set does not grow with the support
+        u = DensityField(Grid3(16, 2.0), np.random.default_rng(0).random((16, 16, 16)) + 0.1)
+        flux = FluxTensor.from_matrix(rotation_z(math.pi / 4))
+        tracemalloc.start()
+        try:
+            fn.interaction_symmetrized_direct(u, flux.u_orth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_symmetrized_small_blocks_match_default(self, monkeypatch):
+        u = gaussian_field(Grid3(16, 4.0), sigma=1.0)
+        u_orth = FluxTensor.from_matrix(rotation_z(math.pi / 4)).u_orth
+        ref = fn.interaction_symmetrized_direct(u, u_orth)
+        # 3 rows per block, and a last block of one row; only the BLAS
+        # summation order of the row products may change
+        monkeypatch.setattr(potential, "_BLOCK_PAIRS", 3 * 16**3 + 5)
+        assert fn.interaction_symmetrized_direct(u, u_orth) == pytest.approx(ref, rel=1e-14)
 
     def test_bound_reference_value(self):
         flux = FluxTensor.from_matrix(np.eye(3))

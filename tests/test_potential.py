@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.fft as sfft
 from scipy.special import erf
 
+from kstensor import potential
 from kstensor.errors import DomainError, GridTooSmall, TooLarge
 from kstensor.potential import (
     CUBE_MEAN_INV_R,
@@ -137,6 +139,32 @@ class TestOracleEquivalence:
         gx, gy, gz = solve_potential_gradient(u)
         np.testing.assert_array_equal(gx, pot.gx)
         np.testing.assert_array_equal(gz, pot.gz)
+
+
+class TestDirectBlocks:
+    # the O(N^2) oracle runs in fixed-size row blocks with buffers reused
+    # across blocks, so its working set does not grow with the cell count
+
+    def test_peak_memory_below_16mb(self):
+        u = DensityField(Grid3(16, 2.0), np.random.default_rng(0).random((16, 16, 16)))
+        tracemalloc.start()
+        try:
+            solve_potential_direct(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_small_blocks_match_default(self, monkeypatch):
+        u = DensityField(Grid3(16, 2.0), np.random.default_rng(1).random((16, 16, 16)))
+        ref = solve_potential_direct(u)
+        # 3 rows per block, and a last block of one row; only the BLAS
+        # summation order of the row products may change
+        monkeypatch.setattr(potential, "_BLOCK_PAIRS", 3 * 16**3 + 5)
+        got = solve_potential_direct(u)
+        for name in ("v", "gx", "gy", "gz"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b)), name
 
 
 class TestPrunedTransforms:

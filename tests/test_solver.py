@@ -239,6 +239,28 @@ class TestRun:
         assert times[-1] == 0.05
         assert min(b - a for a, b in zip(times, times[1:])) > 1e-12
 
+    def test_snapshot_lands_on_multiple_of_dt(self, tmp_path):
+        # 0.5 = 10 dt_max: the snapshot is written at 0.5, not one step late,
+        # and landing on it costs no extra step
+        cfg = small_config(dt_max=0.05, snapshot_times=(0.5, 1.0), output_dir=str(tmp_path))
+        out = run(cfg)
+        assert out.status == "CompletedToTEnd"
+        assert out.steps == run(small_config(dt_max=0.05)).steps == 20
+        names = sorted(p.name for p in tmp_path.glob("u_t*.bin"))
+        assert names == ["u_t0.500000.bin", "u_t1.000000.bin"]
+        assert "time=0.5\n" in (tmp_path / "u_t0.500000.bin.meta").read_text()
+
+    def test_snapshot_off_the_step_grid_lands_exactly(self, tmp_path):
+        cfg = small_config(
+            t_end=0.2, dt_max=0.05, snapshot_times=(0.125,), output_dir=str(tmp_path)
+        )
+        out = run(cfg)
+        assert out.t_final == 0.2
+        # one short step to reach 0.125, then the usual steps to t_end
+        assert out.steps == run(small_config(t_end=0.2, dt_max=0.05)).steps + 1 == 5
+        meta = (tmp_path / "u_t0.125000.bin.meta").read_text()
+        assert "time=0.125\n" in meta
+
     def test_artifacts_written(self, tmp_path):
         outdir = tmp_path / "artifacts"
         cfg = small_config(
@@ -375,6 +397,21 @@ diagnostics_every = 5
             cfg = small_config(**{name: value})
         with pytest.raises(ConfigInvalid, match=name):
             cfg.validate()
+
+    @pytest.mark.parametrize("times", ["-1", "0", "0.5,0.6"])
+    def test_rejects_snapshot_outside_run(self, times):
+        # GOOD runs to t_end = 0.5
+        with pytest.raises(ConfigInvalid, match="snapshot"):
+            parse_config(self.GOOD + f"\nsnapshot_times = {times}\n")
+
+    @pytest.mark.parametrize("matrix", [np.eye(2), np.eye(4)])
+    def test_rejects_matrix_not_3x3(self, matrix):
+        with pytest.raises(ConfigInvalid, match="3x3"):
+            small_config(matrix=matrix).validate()
+
+    def test_rejects_grid_below_solver_minimum(self):
+        with pytest.raises(ConfigInvalid, match="n_cells"):
+            small_config(n_cells=8).validate()
 
     def test_matrix_file_reference(self, tmp_path):
         mfile = tmp_path / "mat.txt"
