@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotOrthogonal, SingularMatrix
+from .errors import BadParameter, NotOrthogonal, SingularMatrix
 
 # Condition-number gate: smallest singular value must exceed this times the
 # largest, otherwise A is rejected as numerically singular.
@@ -40,12 +40,15 @@ def polar_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     symmetric eigendecomposition a a^T = V diag(mu) V^T as
     p = V diag(sqrt(mu)) V^T; then u = p^(-1) a evaluated in the same basis.
 
-    Raises SingularMatrix when the smallest singular value of ``a`` is below
-    SINGULAR_RTOL times the largest.
+    Raises BadParameter when an entry is NaN or infinite, and SingularMatrix
+    when the smallest singular value of ``a`` is below SINGULAR_RTOL times
+    the largest.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise BadParameter(f"matrix entries must be finite, got {a.tolist()}")
     n = a.shape[0]
     aat = a @ a.T
     mu, vecs = np.linalg.eigh(aat)
@@ -125,68 +128,10 @@ def symmetric_part_margin(u_orth: np.ndarray) -> float:
 def check_hypothesis(a: np.ndarray) -> tuple[bool, float]:
     """Decide whether x^T (A A^T)^(-1/2) A x > 0 for all nonzero x.
 
-    Returns (ok, margin). ok is decided from the canonical spectrum of the
-    orthogonal polar factor (all real eigenvalues +1 and cos(alpha_j) > 0);
-    margin is the minimum eigenvalue of the symmetric part of U, which equals
-    kappa when ok. The two routes are cross-checked to ROUTE_AGREE_TOL.
-
-    Exact boundary cases (margin within BOUNDARY_TOL of zero) report ok=False:
-    the blow-up machinery is not claimed to apply there.
+    Returns (ok, margin): FluxTensor.from_matrix(a)'s hypothesis_ok and kappa.
     """
-    _, u = polar_decompose(a)
-    angles, real_eigs = canonical_spectrum(u)
-    spectrum_min = min([np.cos(al) for al in angles] + list(real_eigs) + [1.0])
-    margin = symmetric_part_margin(u)
-    if abs(spectrum_min - margin) > ROUTE_AGREE_TOL:
-        raise NotOrthogonal(
-            f"spectrum route ({spectrum_min:.15g}) and symmetric-part route "
-            f"({margin:.15g}) disagree beyond {ROUTE_AGREE_TOL:.0e}"
-        )
-    ok = all(e > 0.0 for e in real_eigs) and spectrum_min > BOUNDARY_TOL
-    return ok, margin
-
-
-def min_quadratic_on_sphere(
-    u_orth: np.ndarray,
-    samples: int = 100_000,
-    seed: int = 0,
-    refine_iters: int = 200,
-) -> float:
-    """Brute-force estimate of min over unit x of x^T U x.
-
-    Independent oracle for check_hypothesis: uses only matrix-vector products
-    (no eigendecomposition). Random unit vectors followed by a shrinking
-    random-perturbation descent around the best sample.
-    """
-    u_orth = np.asarray(u_orth, dtype=float)
-    n = u_orth.shape[0]
-    rng = np.random.default_rng(seed)
-    best_val = np.inf
-    best_x = None
-    chunk = 20_000
-    done = 0
-    while done < samples:
-        m = min(chunk, samples - done)
-        x = rng.standard_normal((m, n))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        vals = np.einsum("ij,jk,ik->i", x, u_orth, x)
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val = float(vals[i])
-            best_x = x[i]
-        done += m
-    step = 0.5
-    for _ in range(refine_iters):
-        cand = best_x + step * rng.standard_normal((64, n))
-        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        vals = np.einsum("ij,jk,ik->i", cand, u_orth, cand)
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val = float(vals[i])
-            best_x = cand[i]
-        else:
-            step *= 0.8
-    return best_val
+    flux = FluxTensor.from_matrix(a)
+    return flux.hypothesis_ok, flux.kappa
 
 
 @dataclass(frozen=True)
@@ -210,6 +155,14 @@ class FluxTensor:
 
     @classmethod
     def from_matrix(cls, a: np.ndarray) -> "FluxTensor":
+        """Factor A and decide the structural hypothesis.
+
+        kappa and the verdict come from the canonical spectrum of U (all real
+        eigenvalues +1 and cos(alpha_j) > 0); kappa is cross-checked against
+        the minimum eigenvalue of U's symmetric part to ROUTE_AGREE_TOL. Exact
+        boundary cases (kappa within BOUNDARY_TOL of zero) report not ok: the
+        blow-up machinery is not claimed to apply there.
+        """
         a = np.array(a, dtype=float)
         n = a.shape[0]
         if n < 1:

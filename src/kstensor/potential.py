@@ -116,6 +116,29 @@ class Grid3:
         )
 
 
+def gaussian_values(grid: Grid3, mass: float, sigma, center=(0.0, 0.0, 0.0)) -> np.ndarray:
+    """Cell-centre values of the mass-M axis-aligned Gaussian.
+
+    sigma is one width or three (per axis); center is a point in the box.
+    """
+    sig = np.asarray(sigma, dtype=float) * np.ones(3)
+    c = np.asarray(center, dtype=float)
+    x, y, z = grid.meshes()
+    norm = mass / ((2.0 * math.pi) ** 1.5 * float(np.prod(sig)))
+    return norm * np.exp(
+        -0.5 * (((x - c[0]) / sig[0]) ** 2 + ((y - c[1]) / sig[1]) ** 2 + ((z - c[2]) / sig[2]) ** 2)
+    )
+
+
+def ball_values(grid: Grid3, mass: float, radius: float, center=(0.0, 0.0, 0.0)) -> np.ndarray:
+    """Cell-centre values of the mass-M uniform ball of the given radius."""
+    c = np.asarray(center, dtype=float)
+    x, y, z = grid.meshes()
+    rho = mass / (4.0 / 3.0 * math.pi * radius**3)
+    r2 = (x - c[0]) ** 2 + (y - c[1]) ** 2 + (z - c[2]) ** 2
+    return np.where(r2 <= radius * radius, rho, 0.0)
+
+
 @dataclass
 class DensityField:
     """Non-negative cell-centered density on a Grid3."""

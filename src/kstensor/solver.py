@@ -13,9 +13,11 @@ Each step splits the dynamics:
    conservative and maps non-negative data to non-negative data, with no
    clamp. The CFL-limited steps of a collapse run take a single sub-step.
 
-The step size adapts to the advective CFL limit; runs stop at t_end, on the
-sup-norm blow-up trigger, or when dt collapses below dt_min (both of the
-latter report NumericalBlowup with evidence attached).
+`step` and `run` share one drift kernel and one advance, so a single step
+runs the code of a run's step. The step size adapts to the advective CFL
+limit; runs stop at t_end, on the sup-norm blow-up trigger, or when dt
+collapses below dt_min (both of the latter report NumericalBlowup with
+evidence attached).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 from .errors import CflViolation, ConfigInvalid, SupportTooLarge
 from .functionals import (
     DiagnosticsRecord,
+    boundary_mass_fraction,
     compute_record,
     fill_dwdt_measured,
     write_csv,
@@ -40,6 +43,8 @@ from .potential import (
     DensityField,
     Grid3,
     PotentialField,
+    ball_values,
+    gaussian_values,
     load_field,
     save_field,
     solve_potential_fast,
@@ -108,8 +113,10 @@ class SimConfig:
             raise ConfigInvalid(f"blowup_factor must exceed 1, got {self.blowup_factor}")
         if self.diagnostics_every < 1:
             raise ConfigInvalid("diagnostics_every must be >= 1")
-        if self.initial.kind not in ("gaussian", "ball", "file"):
-            raise ConfigInvalid(f"unknown initial data kind {self.initial.kind!r}")
+        if ini.kind not in ("gaussian", "ball", "file"):
+            raise ConfigInvalid(f"unknown initial data kind {ini.kind!r}")
+        if ini.kind == "file" and ini.path is None:
+            raise ConfigInvalid("init = file needs an init_file")
         if self.epsilon is not None and self.epsilon <= 0.0:
             raise ConfigInvalid(f"epsilon must be positive, got {self.epsilon}")
         shape = np.shape(self.matrix)
@@ -153,42 +160,28 @@ def make_initial_data(
     if initial.kind == "file":
         if epsilon is not None:
             raise ConfigInvalid("epsilon rescaling is not supported for file initial data")
-        values, fgrid, _ = load_field(initial.path)
+        vals, fgrid, _ = load_field(initial.path)
         if fgrid.n_cells != grid.n_cells or abs(fgrid.half_width - grid.half_width) > 1e-12:
             raise ConfigInvalid(
                 f"snapshot grid ({fgrid.n_cells}, {fgrid.half_width}) does not match "
                 f"configured grid ({grid.n_cells}, {grid.half_width})"
             )
-        u = DensityField(grid, values)
     else:
         if initial.mass <= 0.0:
             raise ConfigInvalid(f"initial mass must be positive, got {initial.mass}")
         eps = 1.0 if epsilon is None else epsilon
         center = np.asarray(initial.center, dtype=float) * eps
-        x, y, z = grid.meshes()
         if initial.kind == "gaussian":
             sig = np.asarray(initial.sigma, dtype=float) * eps
             if np.any(sig <= 0.0):
                 raise ConfigInvalid(f"gaussian widths must be positive, got {tuple(sig)}")
-            norm = initial.mass / ((2.0 * math.pi) ** 1.5 * float(np.prod(sig)))
-            vals = norm * np.exp(
-                -0.5
-                * (
-                    ((x - center[0]) / sig[0]) ** 2
-                    + ((y - center[1]) / sig[1]) ** 2
-                    + ((z - center[2]) / sig[2]) ** 2
-                )
-            )
+            vals = gaussian_values(grid, initial.mass, sig, center)
         else:  # ball
             rad = initial.radius * eps
             if rad <= 0.0:
                 raise ConfigInvalid(f"ball radius must be positive, got {rad}")
-            rho = initial.mass / (4.0 / 3.0 * math.pi * rad**3)
-            r2 = (x - center[0]) ** 2 + (y - center[1]) ** 2 + (z - center[2]) ** 2
-            vals = np.where(r2 <= rad * rad, rho, 0.0)
-        u = DensityField(grid, vals)
-    from .functionals import boundary_mass_fraction  # local to avoid cycle at import
-
+            vals = ball_values(grid, initial.mass, rad, center)
+    u = DensityField(grid, vals)
     frac = boundary_mass_fraction(u)
     if frac >= 1e-6:
         raise SupportTooLarge(
@@ -198,23 +191,26 @@ def make_initial_data(
     return u
 
 
-def _drift_velocity(
+def _drift(
     u: DensityField, flux: FluxTensor, chi: float, pot: PotentialField | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[list[np.ndarray] | None, float, float]:
+    """Face velocities of b = chi A grad(v), the largest |b|_1, and the outflow rate.
+
+    grad(v) comes from ``pot`` when given (a record's solve), else from a
+    gradient solve. With chi = 0 there is no drift: no faces, both rates 0.
+    """
+    if chi == 0.0:
+        return None, 0.0, 0.0
     if pot is None:
         gx, gy, gz = solve_potential_gradient(u)
     else:
         gx, gy, gz = pot.gx, pot.gy, pot.gz
     a = flux.a
-    bx = chi * (a[0, 0] * gx + a[0, 1] * gy + a[0, 2] * gz)
-    by = chi * (a[1, 0] * gx + a[1, 1] * gy + a[1, 2] * gz)
-    bz = chi * (a[2, 0] * gx + a[2, 1] * gy + a[2, 2] * gz)
-    return bx, by, bz
-
-
-def _face_velocities(b: np.ndarray, ax: int) -> np.ndarray:
-    bm = np.moveaxis(b, ax, 0)
-    return 0.5 * (bm[1:] + bm[:-1])
+    b = [chi * (a[i, 0] * gx + a[i, 1] * gy + a[i, 2] * gz) for i in range(3)]
+    b_l1 = float((np.abs(b[0]) + np.abs(b[1]) + np.abs(b[2])).max())
+    moved = [np.moveaxis(b[ax], ax, 0) for ax in range(3)]
+    bfaces = [0.5 * (bm[1:] + bm[:-1]) for bm in moved]
+    return bfaces, b_l1, _outflow_rate(bfaces, u.values.shape)
 
 
 def _outflow_rate(bfaces: list[np.ndarray], shape: tuple[int, ...]) -> float:
@@ -262,26 +258,29 @@ def _diffuse(values: np.ndarray, grid: Grid3, dt: float) -> np.ndarray:
     return values
 
 
+def _advance(
+    values: np.ndarray, bfaces: list[np.ndarray] | None, grid: Grid3, dt: float
+) -> np.ndarray:
+    """Upwind advection by the drift faces (None: no drift), then diffusion, over dt."""
+    adv = values if bfaces is None else _advect(values, bfaces, dt, grid.h)
+    return _diffuse(adv, grid, dt)
+
+
 def step(u: DensityField, flux: FluxTensor, chi: float, dt: float) -> DensityField:
-    """One advection-diffusion step of size dt.
+    """One advection-diffusion step of size dt, by the kernel that `run` uses.
 
     Raises CflViolation when dt exceeds the exact positivity limit of the
     upwind update (summed outgoing face speeds per cell times dt above h).
     """
     if dt <= 0.0:
         raise CflViolation(f"dt must be positive, got {dt}")
-    grid = u.grid
-    h = grid.h
-    b = _drift_velocity(u, flux, chi)
-    bfaces = [_face_velocities(b[ax], ax) for ax in range(3)]
-    rate = _outflow_rate(bfaces, u.values.shape)
+    h = u.grid.h
+    bfaces, _, rate = _drift(u, flux, chi)
     if dt * rate > h:
         raise CflViolation(
             f"dt = {dt:.3e} exceeds the advective limit {h / rate:.3e} (cfl 1.0)"
         )
-    adv = _advect(u.values, bfaces, dt, h)
-    out = _diffuse(adv, grid, dt)
-    return DensityField(grid, out)
+    return DensityField(u.grid, _advance(u.values, bfaces, u.grid, dt))
 
 
 def run(config: SimConfig, flux: FluxTensor | None = None) -> SimOutcome:
@@ -325,17 +324,10 @@ def run(config: SimConfig, flux: FluxTensor | None = None) -> SimOutcome:
     )
 
     while t < config.t_end:
-        if config.chi == 0.0:
-            bfaces = None
-            dt = config.dt_max
-        else:
-            b = _drift_velocity(u, flux, config.chi, pot=pot)
-            bfaces = [_face_velocities(b[ax], ax) for ax in range(3)]
-            b_l1 = float((np.abs(b[0]) + np.abs(b[1]) + np.abs(b[2])).max())
-            dt = config.dt_max if b_l1 == 0.0 else min(config.dt_max, config.cfl * h / b_l1)
-            rate = _outflow_rate(bfaces, u.values.shape)
-            if rate > 0.0:
-                dt = min(dt, config.cfl * h / rate)
+        bfaces, b_l1, rate = _drift(u, flux, config.chi, pot)
+        dt = config.dt_max if b_l1 == 0.0 else min(config.dt_max, config.cfl * h / b_l1)
+        if rate > 0.0:
+            dt = min(dt, config.cfl * h / rate)
         if dt < config.dt_min:
             status = "NumericalBlowup"
             message = f"time step collapsed below dt_min ({dt:.3e} < {config.dt_min:.3e})"
@@ -347,8 +339,7 @@ def run(config: SimConfig, flux: FluxTensor | None = None) -> SimOutcome:
         if land:
             dt = remaining
 
-        adv = u.values if bfaces is None else _advect(u.values, bfaces, dt, h)
-        vals = _diffuse(adv, grid, dt)
+        vals = _advance(u.values, bfaces, grid, dt)
         if not np.all(np.isfinite(vals)):
             status = "Aborted"
             message = "non-finite values detected in the density field"
@@ -490,7 +481,7 @@ def parse_config(text: str, base_dir: str = ".") -> SimConfig:
             output_dir=kv.get("output_dir"),
             snapshot_times=floats("snapshot_times") if "snapshot_times" in kv else (),
         )
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # OSError: an unreadable matrix_file
         raise ConfigInvalid(str(exc)) from exc
     config.validate()
     return config

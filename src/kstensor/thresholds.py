@@ -26,20 +26,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BadExponent, BadParameter, HypothesisViolated, NonPositiveMoment, ZeroField
 from .functionals import aggregation_coefficient, lq_norm, second_moment
 from .matrixflux import FluxTensor
-from .potential import DensityField, Grid3
+from .potential import DensityField, Grid3, gaussian_values
 
 # round-off guard on the admissibility comparison: data re-measured from a
 # grid may land on the threshold to within quadrature noise
 ADMISSIBLE_RTOL = 1e-9
 
 
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise BadParameter(f"{name} must be finite, got {value}")
+
+
 def blowup_constant(flux: FluxTensor, chi: float, n: int = 3) -> float:
     """The admissibility constant C_Bl(A, chi, n)."""
+    _require_finite(chi=chi)
     if chi <= 0.0:
         raise BadParameter(f"chi must be positive, got {chi}")
     if n < 3:
@@ -74,6 +79,7 @@ class BlowupVerdict:
 
 def admissibility(m0: float, m_tot: float, flux: FluxTensor, chi: float, n: int = 3) -> BlowupVerdict:
     """Decide m0 <= C_Bl M^(n/(n-2)) and bound the blow-up time when it holds."""
+    _require_finite(moment=m0, mass=m_tot)
     if m0 < 0.0:
         raise NonPositiveMoment(f"initial moment must be >= 0, got {m0}")
     if m_tot <= 0.0:
@@ -94,6 +100,7 @@ def rescale_epsilon(m0: float, m_tot: float, flux: FluxTensor, chi: float, n: in
     The rescaling preserves mass and scales the moment by eps^2, so
     eps = sqrt(C_Bl M^(n/(n-2)) / m0).
     """
+    _require_finite(moment=m0, mass=m_tot)
     if m0 <= 0.0:
         raise NonPositiveMoment(f"initial moment must be positive, got {m0}")
     if m_tot <= 0.0:
@@ -117,6 +124,7 @@ def global_delta(
     A single C_CZI is used for both exponents of the min; pass the larger of
     the two constants for a conservative threshold.
     """
+    _require_finite(p=p, chi=chi, a_maxnorm=a_maxnorm, c_czi=c_czi, c_gns=c_gns)
     if p < max(1.0, n / 2.0 - 1.0):
         raise BadExponent(f"p must be >= max(1, n/2 - 1) = {max(1.0, n / 2.0 - 1.0)}, got {p}")
     if min(chi, a_maxnorm, c_czi, c_gns) <= 0.0:
@@ -139,6 +147,7 @@ def compatibility_check(
     """
     if n != 3:
         raise BadParameter("gridded compatibility check supports n = 3 only")
+    _require_finite(c_n=c_n)
     if c_n <= 0.0:
         raise BadParameter(f"c_n must be positive, got {c_n}")
     m_tot = u0.mass
@@ -176,15 +185,8 @@ def calibrate_cn(
     """
     samples = []
     for rho in aspect_ratios:
-        sig = np.array([1.0, 1.0, rho])
-        half = 7.0 * sig.max()
-        grid = Grid3(n_cells, half)
-        x, y, z = grid.meshes()
-        norm = (2.0 * math.pi) ** 1.5 * float(np.prod(sig))
-        vals = np.exp(
-            -0.5 * ((x / sig[0]) ** 2 + (y / sig[1]) ** 2 + (z / sig[2]) ** 2)
-        ) / norm
-        u = DensityField(grid, vals)
+        grid = Grid3(n_cells, 7.0 * max(1.0, rho))
+        u = DensityField(grid, gaussian_values(grid, 1.0, (1.0, 1.0, rho)))
         m_tot = u.mass
         ratio = lq_norm(u, 1.5) / (m_tot * (m_tot / second_moment(u)) ** 0.5)
         samples.append((float(rho), float(ratio)))

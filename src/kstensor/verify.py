@@ -17,6 +17,8 @@ from .matrixflux import FluxTensor, rotation_z
 from .potential import (
     DensityField,
     Grid3,
+    ball_values,
+    gaussian_values,
     solve_potential_direct,
     solve_potential_fast,
 )
@@ -35,20 +37,7 @@ class CaseResult:
 def density_suite(n_cells: int = 32, half_width: float = 4.0) -> list[tuple[str, DensityField]]:
     """The stock 12-density battery: Gaussians, balls, bumps, random fields."""
     grid = Grid3(n_cells, half_width)
-    x, y, z = grid.meshes()
-    r2 = x * x + y * y + z * z
-
-    def gaussian(mass, sig, center=(0.0, 0.0, 0.0)):
-        sig = np.asarray(sig, dtype=float) * np.ones(3)
-        c = np.asarray(center, dtype=float)
-        norm = mass / ((2 * math.pi) ** 1.5 * float(np.prod(sig)))
-        return norm * np.exp(
-            -0.5 * (((x - c[0]) / sig[0]) ** 2 + ((y - c[1]) / sig[1]) ** 2 + ((z - c[2]) / sig[2]) ** 2)
-        )
-
-    def ball(mass, radius):
-        rho = mass / (4.0 / 3.0 * math.pi * radius**3)
-        return np.where(r2 <= radius * radius, rho, 0.0)
+    r2 = grid.radius_squared()
 
     def smooth_random(seed):
         rng_l = np.random.default_rng(seed)
@@ -64,15 +53,16 @@ def density_suite(n_cells: int = 32, half_width: float = 4.0) -> list[tuple[str,
 
     shell = np.exp(-((np.sqrt(r2) - 1.0) ** 2) / (2 * 0.3**2))
     fields = [
-        ("gaussian_s0.5", gaussian(1.0, 0.5)),
-        ("gaussian_s1.0", gaussian(1.0, 1.0)),
-        ("gaussian_s1.5_m2", gaussian(2.0, 1.5 * 0.6)),
-        ("aniso_gaussian", gaussian(1.0, (0.5, 0.7, 1.0))),
-        ("strong_aniso", gaussian(1.0, (0.3, 0.3, 1.5))),
-        ("offset_gaussian", gaussian(1.0, 0.6, center=(0.5, -0.3, 0.2))),
-        ("ball_r1", ball(1.0, 1.0)),
-        ("ball_r1.5_m0.5", ball(0.5, 1.5)),
-        ("two_bump", gaussian(0.6, 0.4, center=(0.8, 0, 0)) + gaussian(0.4, 0.4, center=(-0.8, 0, 0))),
+        ("gaussian_s0.5", gaussian_values(grid, 1.0, 0.5)),
+        ("gaussian_s1.0", gaussian_values(grid, 1.0, 1.0)),
+        ("gaussian_s1.5_m2", gaussian_values(grid, 2.0, 1.5 * 0.6)),
+        ("aniso_gaussian", gaussian_values(grid, 1.0, (0.5, 0.7, 1.0))),
+        ("strong_aniso", gaussian_values(grid, 1.0, (0.3, 0.3, 1.5))),
+        ("offset_gaussian", gaussian_values(grid, 1.0, 0.6, (0.5, -0.3, 0.2))),
+        ("ball_r1", ball_values(grid, 1.0, 1.0)),
+        ("ball_r1.5_m0.5", ball_values(grid, 0.5, 1.5)),
+        ("two_bump", gaussian_values(grid, 0.6, 0.4, (0.8, 0, 0))
+         + gaussian_values(grid, 0.4, 0.4, (-0.8, 0, 0))),
         ("smooth_random_1", smooth_random(1)),
         ("smooth_random_2", smooth_random(2)),
         ("gaussian_shell", shell),
@@ -102,11 +92,8 @@ def suite_potential_oracle(seeds: int = 3) -> list[CaseResult]:
 
     sigma, m_tot = 1.0, 1.0
     ggrid = Grid3(64, 8.0 * sigma)
-    x, y, z = ggrid.meshes()
-    r = np.sqrt(x * x + y * y + z * z)
-    u = DensityField(
-        ggrid, m_tot * (2 * math.pi * sigma**2) ** -1.5 * np.exp(-(r**2) / (2 * sigma**2))
-    )
+    r = np.sqrt(ggrid.radius_squared())
+    u = DensityField(ggrid, gaussian_values(ggrid, m_tot, sigma))
     pot = solve_potential_fast(u)
     v_exact = m_tot * erf(r / (sigma * math.sqrt(2))) / (4 * math.pi * r)
     menc = m_tot * (

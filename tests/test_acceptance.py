@@ -14,15 +14,11 @@ from pathlib import Path
 
 from kstensor import functionals as fn
 from kstensor import thresholds as th
-from kstensor.matrixflux import FluxTensor, polar_decompose, rotation_z
-from kstensor.potential import (
-    DensityField,
-    Grid3,
-    solve_potential_direct,
-    solve_potential_fast,
-)
+from kstensor.matrixflux import FluxTensor, rotation_z
+from kstensor.potential import DensityField, Grid3, gaussian_values
 from kstensor.solver import InitialData, load_config, make_initial_data, run
-from kstensor.verify import density_suite
+from kstensor.verify import suite_biler, suite_gradv_bound, suite_potential_oracle
+from sphere_oracle import sphere_min, sphere_table
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 RUN_BUDGET_SECONDS = 900.0
@@ -59,14 +55,7 @@ def control_outcome():
 
 def test_criterion_1_matrix_suite():
     rng = np.random.default_rng(101)
-    # x^T U x on the sphere is linear in U's entries: tabulate the monomials
-    # x_j x_k (j <= k) once per n, so each matrix costs one matrix-vector product.
-    spheres = {}
-    for n in (3, 4, 5, 6):
-        pts = np.random.default_rng(1000 + n).standard_normal((100_000, n))
-        x = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-        rows, cols = np.triu_indices(n)
-        spheres[n] = (rows, cols, x[:, rows] * x[:, cols])
+    spheres = {n: sphere_table(n, seed=1000 + n) for n in (3, 4, 5, 6)}
     start = time.monotonic()
     flux_s = oracle_s = 0.0
     worst_recon = worst_orth = 0.0
@@ -96,10 +85,7 @@ def test_criterion_1_matrix_suite():
             worst_orth, np.linalg.norm(flux.u_orth.T @ flux.u_orth - np.eye(n))
         )
         t0 = time.monotonic()
-        rows, cols, monomials = spheres[n]
-        u = flux.u_orth
-        coeffs = np.where(rows == cols, u[rows, cols], u[rows, cols] + u[cols, rows])
-        oracle_min = float(np.min(monomials @ coeffs))
+        oracle_min = sphere_min(spheres[n], flux.u_orth)
         oracle_s += time.monotonic() - t0
         agree += flux.hypothesis_ok == (oracle_min > 0.0)
     elapsed = time.monotonic() - start
@@ -114,52 +100,25 @@ def test_criterion_1_matrix_suite():
 
 
 def test_criterion_2_potential_oracle():
-    from scipy.special import erf
-
     start = time.monotonic()
-    grid = Grid3(16, 2.0)
-    worst = 0.0
-    for seed in range(20):
-        u = DensityField(grid, np.random.default_rng(seed).random((16, 16, 16)))
-        fast = solve_potential_fast(u)
-        direct = solve_potential_direct(u)
-        worst = max(worst, float(np.max(np.abs(fast.v - direct.v)) / np.max(np.abs(direct.v))))
-        worst = max(
-            worst,
-            float(
-                np.max(np.abs(fast.gradient_magnitude() - direct.gradient_magnitude()))
-                / np.max(direct.gradient_magnitude())
-            ),
-        )
-    sigma = 1.0
-    ggrid = Grid3(64, 8.0 * sigma)
-    x, y, z = ggrid.meshes()
-    r = np.sqrt(x * x + y * y + z * z)
-    u = DensityField(ggrid, (2 * math.pi * sigma**2) ** -1.5 * np.exp(-(r**2) / (2 * sigma**2)))
-    pot = solve_potential_fast(u)
-    v_exact = erf(r / (sigma * math.sqrt(2))) / (4 * math.pi * r)
-    menc = erf(r / (math.sqrt(2) * sigma)) - math.sqrt(2 / math.pi) * (r / sigma) * np.exp(
-        -(r**2) / (2 * sigma**2)
-    )
-    g_exact = menc / (4 * math.pi * r**2)
-    err_v = float(np.max(np.abs(pot.v - v_exact)) / v_exact.max())
-    err_g = float(np.max(np.abs(pot.gradient_magnitude() - g_exact)) / g_exact.max())
+    cases = suite_potential_oracle(seeds=20)
     elapsed = time.monotonic() - start
-    ok = worst <= 1e-10 and err_v <= 1e-2 and err_g <= 1e-2 and elapsed < 60.0
+    # each margin is the case's bound minus its error
+    worst = max(1e-10 - c.margin for c in cases if c.name.startswith("fast_vs_direct"))
+    err = {c.name: 1e-2 - c.margin for c in cases if c.name.startswith("gaussian")}
+    ok = all(c.passed for c in cases) and elapsed < 60.0
     report(
         2,
         ok,
-        f"fast-vs-direct {worst:.2e} (20 seeds), gaussian v {err_v:.2e} grad {err_g:.2e}, "
+        f"fast-vs-direct {worst:.2e} (20 seeds), gaussian v "
+        f"{err['gaussian_closed_form_v']:.2e} grad {err['gaussian_closed_form_grad']:.2e}, "
         f"{elapsed:.1f}s",
     )
 
 
 def test_criterion_3_biler_inequality():
     start = time.monotonic()
-    all_hold = True
-    for name, u in density_suite():
-        lhs, rhs, hold = fn.biler_check(u)
-        all_hold &= hold
+    all_hold = all(c.passed for c in suite_biler())
     # Monte-Carlo oracle for the Gaussian interaction integral, 1e7 samples
     rng = np.random.default_rng(777)
     acc = 0.0
@@ -170,11 +129,8 @@ def test_criterion_3_biler_inequality():
         ys = rng.standard_normal((chunk, 3))
         acc += float(np.sum(1.0 / np.linalg.norm(xs - ys, axis=1)))
     j_mc = acc / n_samples
-    u = DensityField(
-        Grid3(64, 8.0),
-        (2 * math.pi) ** -1.5
-        * np.exp(-Grid3(64, 8.0).radius_squared() / 2.0),
-    )
+    grid = Grid3(64, 8.0)
+    u = DensityField(grid, gaussian_values(grid, 1.0, 1.0))
     j_grid = fn.interaction_integral(u)
     rel = abs(j_grid - j_mc) / j_mc
     elapsed = time.monotonic() - start
@@ -289,14 +245,9 @@ def test_criterion_9_gradient_bound():
     box = DensityField(grid, np.where(inside, 1.0, 0.0))  # M = 1, linf = 1
     _, gamma = fn.gradv_sup_bound(box)
     gamma_ok = abs(gamma - (1 / (2 * math.pi)) ** (1 / 3)) <= 1e-10
-    dominated = True
-    margin = np.inf
-    for _, u in density_suite():
-        pot = solve_potential_fast(u)
-        measured = float(pot.gradient_magnitude().max())
-        bound, _ = fn.gradv_sup_bound(u)
-        dominated &= measured <= bound
-        margin = min(margin, bound / measured)
+    cases = suite_gradv_bound()
+    dominated = all(c.passed for c in cases)
+    margin = 1.0 + min(c.margin for c in cases)  # each margin is bound / measured - 1
     ok = gamma_ok and dominated
     report(
         9,

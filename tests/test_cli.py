@@ -50,6 +50,13 @@ class TestCheckMatrix:
         code, _, err = run_cli(capsys, "check-matrix")
         assert code == 1
 
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_non_finite_entry_exit_one(self, capsys, entry):
+        code, out, err = run_cli(capsys, "check-matrix", f"--inline={entry},0,0,0,1,0,0,0,1")
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "check-matrix", "--inline", ROT60)
         _, out2, _ = run_cli(capsys, "check-matrix", "--inline", ROT60)
@@ -82,6 +89,17 @@ class TestThresholds:
         )
         keys = [line.split("=")[0] for line in out.strip().split("\n")]
         assert keys == ["c_bl", "admissible", "margin", "epsilon", "t_upper", "f_w0"]
+
+    @pytest.mark.parametrize("flag", ["--chi", "--mass", "--moment"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected(self, capsys, flag, value):
+        args = {"--chi": "1", "--mass": "1", "--moment": "1e-5"}
+        args[flag] = value
+        argv = [f"{k}={v}" for k, v in args.items()]
+        code, out, err = run_cli(capsys, "thresholds", "--inline", IDENT, *argv)
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
 
     def test_zero_chi_rejected(self, capsys):
         code, _, err = run_cli(
@@ -135,6 +153,13 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", str(cfg))
         assert code == 1
         assert "cfl" in err
+
+    def test_file_init_without_path_exit_one(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CFG.replace("init = gaussian", "init = file"))
+        code, _, err = run_cli(capsys, "simulate", str(cfg))
+        assert code == 1
+        assert "init_file" in err
 
     def test_missing_config_exit_one(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", str(tmp_path / "nope.cfg"))

@@ -8,22 +8,11 @@ from kstensor import functionals as fn
 from kstensor import potential
 from kstensor.errors import BadParameter, NonPositiveMoment, NotSPD, ZeroField
 from kstensor.matrixflux import FluxTensor, rotation_z
-from kstensor.potential import DensityField, Grid3, solve_potential_fast
+from kstensor.potential import DensityField, Grid3, gaussian_values, solve_potential_fast
 
 
 def gaussian_field(grid, mass=1.0, sigma=1.0, center=(0.0, 0.0, 0.0)):
-    sig = np.asarray(sigma, dtype=float) * np.ones(3)
-    x, y, z = grid.meshes()
-    norm = mass / ((2 * math.pi) ** 1.5 * float(np.prod(sig)))
-    vals = norm * np.exp(
-        -0.5
-        * (
-            ((x - center[0]) / sig[0]) ** 2
-            + ((y - center[1]) / sig[1]) ** 2
-            + ((z - center[2]) / sig[2]) ** 2
-        )
-    )
-    return DensityField(grid, vals)
+    return DensityField(grid, gaussian_values(grid, mass, sigma, center))
 
 
 def rescaled_gaussian(grid, eps, mass=1.0, sigma=1.0):

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from sphere_oracle import sphere_min, sphere_table
 
-from kstensor.errors import NotOrthogonal, SingularMatrix
+from kstensor.errors import BadParameter, NotOrthogonal, SingularMatrix
 from kstensor.matrixflux import (
     FluxTensor,
     canonical_spectrum,
     check_hypothesis,
-    min_quadratic_on_sphere,
     parse_matrix,
     parse_matrix_inline,
     polar_decompose,
@@ -75,6 +75,14 @@ class TestPolarDecompose:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             polar_decompose(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, value):
+        a = np.eye(3)
+        a[0, 0] = value
+        for decide in (polar_decompose, FluxTensor.from_matrix, check_hypothesis):
+            with pytest.raises(BadParameter, match="finite"):
+                decide(a)
 
 
 class TestCanonicalSpectrum:
@@ -156,16 +164,15 @@ class TestCheckHypothesis:
 class TestSphereOracle:
     def test_oracle_never_beats_margin(self):
         rng = np.random.default_rng(17)
-        for seed in range(5):
+        table = sphere_table(4, seed=0, samples=20_000)
+        for _ in range(5):
             a = random_nonsingular(rng, 4)
             _, u = polar_decompose(a)
             margin = symmetric_part_margin(u)
-            sampled = min_quadratic_on_sphere(u, samples=20_000, seed=seed)
-            assert sampled >= margin - 1e-6
+            assert sphere_min(table, u) >= margin - 1e-6
 
     def test_oracle_approaches_margin(self):
-        a = rotation_z(2 * math.pi / 3)
-        sampled = min_quadratic_on_sphere(a, samples=100_000, seed=0)
+        sampled = sphere_min(sphere_table(3, seed=0), rotation_z(2 * math.pi / 3))
         assert abs(sampled - (-0.5)) < 1e-3
 
 

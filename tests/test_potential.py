@@ -14,6 +14,7 @@ from kstensor.potential import (
     Grid3,
     _crop_irfftn,
     _pad_rfftn,
+    gaussian_values,
     grad_kernel,
     kernel_value,
     load_field,
@@ -25,11 +26,7 @@ from kstensor.potential import (
 
 
 def gaussian_field(grid, mass=1.0, sigma=1.0, center=(0.0, 0.0, 0.0)):
-    x, y, z = grid.meshes()
-    c = center
-    r2 = (x - c[0]) ** 2 + (y - c[1]) ** 2 + (z - c[2]) ** 2
-    vals = mass * (2 * math.pi * sigma**2) ** -1.5 * np.exp(-r2 / (2 * sigma**2))
-    return DensityField(grid, vals)
+    return DensityField(grid, gaussian_values(grid, mass, sigma, center))
 
 
 def gaussian_potential_exact(grid, mass=1.0, sigma=1.0):

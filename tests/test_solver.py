@@ -8,7 +8,7 @@ from kstensor import solver as sv
 from kstensor.errors import CflViolation, ConfigInvalid, SupportTooLarge
 from kstensor.functionals import second_moment
 from kstensor.matrixflux import FluxTensor
-from kstensor.potential import DensityField, Grid3, save_field
+from kstensor.potential import DensityField, Grid3, gaussian_values, load_field, save_field
 from kstensor.solver import (
     InitialData,
     SimConfig,
@@ -21,6 +21,10 @@ from kstensor.solver import (
 
 IDENTITY = FluxTensor.from_matrix(np.eye(3))
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
+
+
+def unit_gaussian(grid):
+    return DensityField(grid, gaussian_values(grid, 1.0, 1.0))
 
 
 def small_config(**overrides):
@@ -102,10 +106,9 @@ class TestMakeInitialData:
 class TestStep:
     def test_pure_diffusion_matches_heat_kernel(self):
         grid = Grid3(64, 10.0)
-        x, y, z = grid.meshes()
-        r2 = x * x + y * y + z * z
+        r2 = grid.radius_squared()
         sig = 1.0
-        u = DensityField(grid, (2 * math.pi * sig**2) ** -1.5 * np.exp(-r2 / (2 * sig**2)))
+        u = unit_gaussian(grid)
         dt = 0.05  # above h^2/6: exercises the sub-cycled stencil
         for _ in range(4):
             u = step(u, IDENTITY, chi=0.0, dt=dt)
@@ -115,8 +118,7 @@ class TestStep:
 
     def test_explicit_branch_moment_growth(self):
         grid = Grid3(32, 10.0)
-        x, y, z = grid.meshes()
-        u = DensityField(grid, (2 * math.pi) ** -1.5 * np.exp(-(x * x + y * y + z * z) / 2))
+        u = unit_gaussian(grid)
         dt = 0.01  # below h^2/6: explicit stencil
         m0 = second_moment(u)
         u = step(u, IDENTITY, chi=0.0, dt=dt)
@@ -124,8 +126,7 @@ class TestStep:
 
     def test_subcycled_step_equals_two_small_steps(self):
         grid = Grid3(32, 10.0)
-        x, y, z = grid.meshes()
-        u = (2 * math.pi) ** -1.5 * np.exp(-(x * x + y * y + z * z) / 2)
+        u = unit_gaussian(grid).values
         dt0 = 0.9 * grid.h**2 / 6
         twice = sv._diffuse(sv._diffuse(u, grid, dt0), grid, dt0)
         np.testing.assert_array_equal(sv._diffuse(u, grid, 2 * dt0), twice)
@@ -143,8 +144,7 @@ class TestStep:
 
     def test_subcycled_moment_growth(self):
         grid = Grid3(32, 10.0)
-        x, y, z = grid.meshes()
-        u = DensityField(grid, (2 * math.pi) ** -1.5 * np.exp(-(x * x + y * y + z * z) / 2))
+        u = unit_gaussian(grid)
         dt = 0.2  # about 3 h^2/6: four sub-steps
         m0 = second_moment(u)
         u = step(u, IDENTITY, chi=0.0, dt=dt)
@@ -158,26 +158,46 @@ class TestStep:
 
     def test_single_step_mass_drift(self):
         grid = Grid3(32, 6.0)
-        x, y, z = grid.meshes()
-        u = DensityField(grid, (2 * math.pi) ** -1.5 * np.exp(-(x * x + y * y + z * z) / 2))
+        u = unit_gaussian(grid)
         out = step(u, IDENTITY, chi=5.0, dt=0.001)
         assert abs(out.mass - u.mass) / u.mass <= 1e-13
 
     def test_positivity_with_strong_drift(self):
         grid = Grid3(32, 6.0)
-        x, y, z = grid.meshes()
-        u = DensityField(grid, (2 * math.pi) ** -1.5 * np.exp(-(x * x + y * y + z * z) / 2))
+        u = unit_gaussian(grid)
         out = step(u, IDENTITY, chi=100.0, dt=0.002)
         assert out.values.min() >= 0.0
 
     def test_cfl_violation(self):
         grid = Grid3(32, 6.0)
-        x, y, z = grid.meshes()
-        u = DensityField(grid, (2 * math.pi) ** -1.5 * np.exp(-(x * x + y * y + z * z) / 2))
+        u = unit_gaussian(grid)
         with pytest.raises(CflViolation):
             step(u, IDENTITY, chi=100.0, dt=10.0)
         with pytest.raises(CflViolation):
             step(u, IDENTITY, chi=1.0, dt=0.0)
+
+
+    @pytest.mark.parametrize("chi", [0.0, 5.0])
+    def test_step_is_one_step_of_run(self, tmp_path, chi):
+        # dt_max exceeds t_end and the CFL limit is far above it, so the run
+        # takes a single step that lands on t_end and snapshots it there
+        cfg = small_config(
+            chi=chi, half_width=6.0, t_end=0.01, snapshot_times=(0.01,), output_dir=str(tmp_path)
+        )
+        out = run(cfg)
+        assert out.steps == 1
+        snap, _, _ = load_field(str(tmp_path / "u_t0.010000.bin"))
+        u0 = make_initial_data(cfg.initial, cfg.grid)
+        flux = FluxTensor.from_matrix(cfg.matrix)
+        np.testing.assert_array_equal(step(u0, flux, chi, cfg.t_end).values, snap)
+
+    def test_no_drift_solve_without_chemotaxis(self, monkeypatch):
+        def no_solve(u):
+            raise AssertionError("drift solved with chi = 0")
+
+        monkeypatch.setattr(sv, "solve_potential_gradient", no_solve)
+        u = unit_gaussian(Grid3(32, 10.0))
+        assert step(u, IDENTITY, chi=0.0, dt=0.01).mass == pytest.approx(u.mass, rel=1e-14)
 
 
 class TestRun:
@@ -408,6 +428,10 @@ diagnostics_every = 5
     def test_rejects_matrix_not_3x3(self, matrix):
         with pytest.raises(ConfigInvalid, match="3x3"):
             small_config(matrix=matrix).validate()
+
+    def test_rejects_file_init_without_path(self):
+        with pytest.raises(ConfigInvalid, match="init_file"):
+            parse_config(self.GOOD.replace("init = gaussian", "init = file"))
 
     def test_rejects_grid_below_solver_minimum(self):
         with pytest.raises(ConfigInvalid, match="n_cells"):

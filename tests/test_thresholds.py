@@ -13,16 +13,13 @@ from kstensor.errors import (
 )
 from kstensor.functionals import lq_norm, second_moment
 from kstensor.matrixflux import FluxTensor, rotation_z
-from kstensor.potential import DensityField, Grid3
+from kstensor.potential import DensityField, Grid3, gaussian_values
 
 IDENTITY = FluxTensor.from_matrix(np.eye(3))
 
 
 def gaussian_field(grid, mass=1.0, sigma=1.0):
-    x, y, z = grid.meshes()
-    r2 = x * x + y * y + z * z
-    vals = mass * (2 * math.pi * sigma**2) ** -1.5 * np.exp(-r2 / (2 * sigma**2))
-    return DensityField(grid, vals)
+    return DensityField(grid, gaussian_values(grid, mass, sigma))
 
 
 class TestBlowupConstant:
@@ -150,6 +147,38 @@ class TestRescaleEpsilon:
     def test_rejects_zero_moment(self):
         with pytest.raises(NonPositiveMoment):
             th.rescale_epsilon(0.0, 1.0, IDENTITY, 1.0, 3)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_blowup_constant_rejects_chi(self, value):
+        with pytest.raises(BadParameter, match="chi"):
+            th.blowup_constant(IDENTITY, value, 3)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("name", ["moment", "mass", "chi"])
+    @pytest.mark.parametrize("decide", [th.admissibility, th.rescale_epsilon])
+    def test_moment_functions_reject(self, decide, name, value):
+        args = {"moment": 1e-5, "mass": 1.0, "chi": 1.0}
+        args[name] = value
+        with pytest.raises(BadParameter, match=name):
+            decide(args["moment"], args["mass"], IDENTITY, args["chi"], 3)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("name", ["p", "chi", "a_maxnorm", "c_czi", "c_gns"])
+    def test_global_delta_rejects(self, name, value):
+        args = {"p": 2.0, "n": 3, "chi": 1.0, "a_maxnorm": 1.0}
+        args[name] = value
+        with pytest.raises(BadParameter, match=name):
+            th.global_delta(**args)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_compatibility_rejects_c_n(self, value):
+        with pytest.raises(BadParameter, match="c_n"):
+            th.compatibility_check(gaussian_field(Grid3(16, 6.0)), c_n=value)
 
 
 class TestGlobalDelta:
