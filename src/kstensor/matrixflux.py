@@ -14,6 +14,7 @@ rotation angle alpha_j satisfies cos(alpha_j) > 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,13 +51,16 @@ def polar_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(a)):
         raise BadParameter(f"matrix entries must be finite, got {a.tolist()}")
     n = a.shape[0]
-    aat = a @ a.T
-    mu, vecs = np.linalg.eigh(aat)
+    # a power of two near the largest entry keeps a a^T clear of overflow and
+    # underflow; scaling by it is exact, and u does not depend on it
+    exp = math.frexp(np.abs(a).max())[1]
+    a = np.ldexp(a, -exp)
+    mu, vecs = np.linalg.eigh(a @ a.T)
     # mu are squared singular values of a, ascending
     if mu[0] <= 0.0 or np.sqrt(mu[0]) <= SINGULAR_RTOL * np.sqrt(mu[-1]):
+        ratio = np.sqrt(max(mu[0], 0.0) / mu[-1]) if mu[-1] > 0.0 else 0.0
         raise SingularMatrix(
-            f"matrix is singular to working precision "
-            f"(sigma_min/sigma_max = {np.sqrt(max(mu[0], 0.0) / mu[-1]):.3e})"
+            f"matrix is singular to working precision (sigma_min/sigma_max = {ratio:.3e})"
         )
     u = (vecs / np.sqrt(mu)) @ vecs.T @ a
     # the eigh route leaves an orthogonality defect of order eps * cond(a);
@@ -68,8 +72,8 @@ def polar_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             break
         u = u @ (eye - 0.5 * defect)
     p = a @ u.T
-    p = 0.5 * (p + p.T)  # enforce exact symmetry against round-off
-    return p, u
+    # enforce exact symmetry against round-off, halve, and undo the scaling
+    return np.ldexp(p + p.T, exp - 1), u
 
 
 def canonical_spectrum(u_orth: np.ndarray) -> tuple[list[float], list[float]]:

@@ -6,7 +6,9 @@ convolution with the kernel K(x) = 1/(4 pi |x|):
 * fast path: zero-padded FFT convolution (domain doubled per axis, so the
   periodic product realizes the free-space sum exactly on the original box;
   the transforms run axis by axis and skip the lines that are all zero on
-  the way in or cropped away on the way out);
+  the way in or cropped away on the way out). The kernel spectra are real
+  tables built once per n_cells from one octant by DCT-I/DST-I, free of the
+  grid spacing, which enters as one scalar per inverse transform;
 * direct path: O(N^2) double sum, an independent oracle for the fast path.
 
 Both paths share the same discretization: midpoint kernel samples, the
@@ -23,8 +25,10 @@ fields are three-dimensional only.
 
 from __future__ import annotations
 
+import logging
 import math
 import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +52,8 @@ _BLOCK_PAIRS = 1 << 17
 FAST_MIN_CELLS = 16
 
 _FFT_WORKERS = -1  # scipy.fft uses all available cores
+
+logger = logging.getLogger(__name__)
 
 
 def unit_ball_volume(n: int) -> float:
@@ -179,43 +185,78 @@ class PotentialField:
 
 
 class _KernelTables:
-    """Per-grid FFT kernel spectra, built once and shared read-only."""
+    """Unit-spacing kernel spectra for one n_cells, built once and shared read-only.
 
-    def __init__(self, grid: Grid3):
-        n, h = grid.n_cells, grid.h
-        m = 2 * n
-        d = np.arange(m, dtype=float)
-        d[d >= n] -= m  # cyclic displacement in cells
-        d *= h
-        dx = d[:, None, None]
-        dy = d[None, :, None]
-        dz = d[None, None, :]
-        r = np.sqrt(dx**2 + dy**2 + dz**2)
+    On the padded (2n)^3 grid K is even along every axis, so its spectrum is
+    real and is the DCT-I of the (n+1)^3 octant of displacements 0..n. grad_x K
+    is odd along x once the cyclic -n plane is dropped (no two cells of the
+    box are n apart, so that plane never reaches the cropped output); its
+    spectrum is i times a real table, the DST-I along x and DCT-I along y and
+    z of the octant. The y and z tables are axis transposes of the x octant
+    (Hockney & Eastwood, Computer Simulation Using Particles, 1988, sec. 6).
+
+    Each table is a pair (lo, hi) of real arrays: lo holds the rows
+    kx in [0, n], expanded along y to shape (n+1, 2n, n+1); hi holds the rows
+    kx in [n+1, 2n), the x-mirror of lo. hi is a reversed view of lo, and a
+    stored negated copy for the x table, which is odd in x. On a grid of
+    spacing h the spectra are k_hat / h and i g_hat / h^2.
+    """
+
+    def __init__(self, n: int):
+        d = np.arange(n + 1, dtype=float)
+        r = np.sqrt(d[:, None, None] ** 2 + d[None, :, None] ** 2 + d[None, None, :] ** 2)
         with np.errstate(divide="ignore"):
             k = 1.0 / (4.0 * math.pi * r)
-        k[0, 0, 0] = CUBE_MEAN_INV_R / (4.0 * math.pi * h)
-        with np.errstate(divide="ignore"):
-            g = -1.0 / (4.0 * math.pi * r**3)
-        g[0, 0, 0] = 0.0  # odd symmetry: the self cell contributes nothing
-        self.k_hat = sfft.rfftn(k, workers=_FFT_WORKERS)
+        k[0, 0, 0] = CUBE_MEAN_INV_R / (4.0 * math.pi)
+        k_oct = sfft.dctn(k, type=1, workers=_FFT_WORKERS)
+        del k
+        # the DFT of an odd sequence is -i times its DST-I, and
+        # grad_x K = -x / (4 pi r^3): the table transforms +x / (4 pi r^3)
+        g = d[1:n, None, None] / (4.0 * math.pi * r[1:n] ** 3)
+        gx_oct = np.zeros_like(k_oct)
+        gx_oct[1:n] = sfft.dctn(
+            sfft.dst(g, type=1, axis=0, workers=_FFT_WORKERS),
+            type=1, axes=(1, 2), workers=_FFT_WORKERS,
+        )
+        del g, r
+        self.k_hat = _unfold(k_oct, n)
         self.g_hat = [
-            sfft.rfftn(dd * g, workers=_FFT_WORKERS) for dd in (dx, dy, dz)
+            _unfold(gx_oct, n, odd_x=True),
+            _unfold(gx_oct.transpose(1, 0, 2), n, odd_y=True),
+            _unfold(gx_oct.transpose(2, 1, 0), n),
         ]
+        # bytes held: the four lo tables and the one stored hi
+        self.nbytes = sum(
+            a.nbytes for pair in (self.k_hat, *self.g_hat) for a in pair if a.base is None
+        )
+
+
+def _unfold(octant: np.ndarray, n: int, odd_x: bool = False, odd_y: bool = False):
+    """(lo, hi) table from an (n+1)^3 octant: lo expanded along y, hi its x-mirror."""
+    lo = np.empty((n + 1, 2 * n, n + 1))
+    lo[:, : n + 1] = octant
+    np.multiply(octant[:, n - 1 : 0 : -1], -1.0 if odd_y else 1.0, out=lo[:, n + 1 :])
+    hi = lo[n - 1 : 0 : -1]
+    return lo, (-hi if odd_x else hi)
 
 
 _tables_lock = threading.Lock()
-_tables_cache: dict[tuple[int, float], _KernelTables] = {}
+_tables_cache: dict[int, _KernelTables] = {}
 
 
-def _tables_for(grid: Grid3) -> _KernelTables:
-    key = (grid.n_cells, grid.half_width)
-    tab = _tables_cache.get(key)
+def _tables_for(n: int) -> _KernelTables:
+    tab = _tables_cache.get(n)
     if tab is None:
         with _tables_lock:
-            tab = _tables_cache.get(key)
+            tab = _tables_cache.get(n)
             if tab is None:
-                tab = _KernelTables(grid)
-                _tables_cache[key] = tab
+                t0 = time.perf_counter()
+                tab = _KernelTables(n)
+                logger.info(
+                    "kernel tables for n_cells=%d: %d bytes, built in %.1f ms",
+                    n, tab.nbytes, 1e3 * (time.perf_counter() - t0),
+                )
+                _tables_cache[n] = tab
     return tab
 
 
@@ -231,15 +272,17 @@ def _pad_rfftn(values: np.ndarray, n: int) -> np.ndarray:
     return sfft.fft(spec, n=m, axis=0, overwrite_x=True, workers=_FFT_WORKERS)
 
 
-def _crop_irfftn(spec: np.ndarray, n: int) -> np.ndarray:
-    """First-octant (n^3) view of the inverse of a (2n)^3 rfftn spectrum.
+def _crop_irfftn(spec: np.ndarray, n: int, scale: complex) -> np.ndarray:
+    """First-octant (n^3) view of the inverse of a (2n)^3 rfftn spectrum, times scale.
 
     Crops after each axis, so later passes skip the lines that would be
-    thrown away. Consumes `spec`: its contents are overwritten.
+    thrown away; the scale multiplies the cropped (n, n, n+1) intermediate
+    before the last pass. Consumes `spec`: its contents are overwritten.
     """
     m = 2 * n
     out = sfft.ifft(spec, axis=0, overwrite_x=True, workers=_FFT_WORKERS)[:n]
     out = sfft.ifft(out, axis=1, overwrite_x=True, workers=_FFT_WORKERS)[:, :n]
+    out *= scale
     return sfft.irfft(out, n=m, axis=2, workers=_FFT_WORKERS)[:, :, :n]
 
 
@@ -263,23 +306,27 @@ def _solve_fast(u: DensityField, with_potential: bool):
     n, h = grid.n_cells, grid.h
     if n < FAST_MIN_CELLS:
         raise GridTooSmall(f"n_cells = {n} < {FAST_MIN_CELLS}")
-    tab = _tables_for(grid)
+    tab = _tables_for(n)
     uh = _pad_rfftn(u.values, n)
     work = np.empty_like(uh)  # per call, so concurrent solves share nothing
-    scale = grid.cell_volume
+    # rows kx in [0, n] meet a table's lo, rows kx in [n+1, 2n) its hi
+    uh_lo, uh_hi, work_lo, work_hi = uh[: n + 1], uh[n + 1 :], work[: n + 1], work[n + 1 :]
 
-    def convolve(kernel_hat: np.ndarray) -> np.ndarray:
-        np.multiply(uh, kernel_hat, out=work)
-        return _crop_irfftn(work, n) * scale
+    def convolve(table, scale: complex) -> np.ndarray:
+        np.multiply(uh_lo, table[0], out=work_lo)
+        np.multiply(uh_hi, table[1], out=work_hi)
+        return _crop_irfftn(work, n, scale)
 
+    # cell volume h^3 times the unit tables' 1/h (K) and i/h^2 (grad K); the
+    # defect correction is the left operand, so the results are contiguous
     v = None
     if with_potential:
-        v = convolve(tab.k_hat)
-        v += (_V_CORRECTION * h * h) * u.values
+        v = (_V_CORRECTION * h * h) * u.values
+        v += convolve(tab.k_hat, h * h)
     grads = []
     for g_hat, dui in zip(tab.g_hat, _grad_centered(u.values, h)):
-        g = convolve(g_hat)
-        g += (_G_CORRECTION * h * h) * dui
+        g = (_G_CORRECTION * h * h) * dui
+        g += convolve(g_hat, 1j * h)
         grads.append(g)
     return v, grads
 

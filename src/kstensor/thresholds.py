@@ -49,6 +49,8 @@ def blowup_constant(flux: FluxTensor, chi: float, n: int = 3) -> float:
         raise BadParameter(f"chi must be positive, got {chi}")
     if n < 3:
         raise BadParameter(f"dimension must be >= 3, got {n}")
+    if n != flux.n:
+        raise BadParameter(f"dimension {n} does not match the {flux.n}x{flux.n} flux matrix")
     if not flux.hypothesis_ok or flux.kappa <= 0.0:
         raise HypothesisViolated(
             f"flux matrix fails the structural hypothesis (kappa = {flux.kappa:.6g})"

@@ -57,6 +57,15 @@ class TestCheckMatrix:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("scale", ["1e200", "1e-170"])
+    def test_extreme_scaled_identity_passes(self, capsys, scale):
+        entries = ",".join(scale if i % 4 == 0 else "0" for i in range(9))
+        code, out, err = run_cli(capsys, "check-matrix", f"--inline={entries}")
+        assert code == 0, err
+        assert "hypothesis=true" in out
+        assert "kappa=1\n" in out
+        assert f"trace_pinv=3e{-int(scale[2:]):+04d}" in out
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "check-matrix", "--inline", ROT60)
         _, out2, _ = run_cli(capsys, "check-matrix", "--inline", ROT60)
@@ -100,6 +109,19 @@ class TestThresholds:
         assert code == 1
         assert out == ""
         assert "finite" in err
+
+    @pytest.mark.parametrize(
+        "inline, dim",
+        [("1,0,0,1", "3"), (IDENT, "4"), (IDENT, "5")],
+    )
+    def test_dimension_mismatch_rejected(self, capsys, inline, dim):
+        code, out, err = run_cli(
+            capsys, "thresholds", "--inline", inline, "--dim", dim,
+            "--chi", "1", "--mass", "1", "--moment", "1e-5",
+        )
+        assert code == 1
+        assert out == ""
+        assert "does not match" in err
 
     def test_zero_chi_rejected(self, capsys):
         code, _, err = run_cli(

@@ -84,6 +84,24 @@ class TestPolarDecompose:
             with pytest.raises(BadParameter, match="finite"):
                 decide(a)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-170])
+    def test_extreme_scaled_identity(self, scale):
+        # a a^T of these overflows or underflows unless a is rescaled first
+        p, u = polar_decompose(scale * np.eye(3))
+        np.testing.assert_array_equal(p, scale * np.eye(3))
+        np.testing.assert_array_equal(u, np.eye(3))
+
+    @pytest.mark.parametrize("power", [600, -600])
+    def test_power_of_two_scaling_keeps_verdict(self, power):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            a = random_nonsingular(rng, int(rng.integers(3, 7)))
+            ref = FluxTensor.from_matrix(a)
+            got = FluxTensor.from_matrix(np.ldexp(a, power))
+            assert got.hypothesis_ok == ref.hypothesis_ok
+            assert abs(got.kappa - ref.kappa) <= 1e-15
+            np.testing.assert_array_equal(got.p, np.ldexp(ref.p, power))
+
 
 class TestCanonicalSpectrum:
     def test_identity(self):

@@ -1,3 +1,4 @@
+import logging
 import math
 import tracemalloc
 
@@ -181,9 +182,89 @@ class TestPrunedTransforms:
     def test_crop_irfftn_matches_cropped_inverse(self, n):
         spec = sfft.rfftn(np.random.default_rng(n + 1).standard_normal((2 * n,) * 3))
         ref = sfft.irfftn(spec, s=(2 * n,) * 3)[:n, :n, :n]
-        got = _crop_irfftn(spec.copy(), n)
+        got = _crop_irfftn(spec.copy(), n, 1.0)
         assert got.shape == (n, n, n)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def rfftn_tables(n):
+    """Unit-spacing spectra of the padded kernel by full (2n)^3 rfftn.
+
+    The construction the octant tables replace, kept as their oracle. The
+    cyclic -n plane of each grad K component is zeroed, which makes its
+    spectrum purely imaginary; no two cells of the box are n apart, so a
+    solve never reads that plane.
+    """
+    m = 2 * n
+    d = np.arange(m, dtype=float)
+    d[d >= n] -= m
+    dx, dy, dz = d[:, None, None], d[None, :, None], d[None, None, :]
+    r = np.sqrt(dx**2 + dy**2 + dz**2)
+    with np.errstate(divide="ignore"):
+        k = 1.0 / (4.0 * math.pi * r)
+        g = -1.0 / (4.0 * math.pi * r**3)
+    k[0, 0, 0] = CUBE_MEAN_INV_R / (4.0 * math.pi)
+    g[0, 0, 0] = 0.0
+    grads = []
+    for axis, dd in enumerate((dx, dy, dz)):
+        gi = dd * g
+        np.moveaxis(gi, axis, 0)[n] = 0.0
+        grads.append(sfft.rfftn(gi))
+    return sfft.rfftn(k), grads
+
+
+def full_table(pair):
+    lo, hi = pair
+    return np.concatenate([lo, hi], axis=0)
+
+
+class TestKernelTables:
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_octant_tables_match_rfftn(self, n):
+        tab = potential._KernelTables(n)
+        k_ref, g_ref = rfftn_tables(n)
+        got = full_table(tab.k_hat)
+        assert got.shape == k_ref.shape
+        assert np.max(np.abs(got - k_ref.real)) <= 1e-15 * np.max(np.abs(k_ref))
+        for pair, ref in zip(tab.g_hat, g_ref):
+            got = full_table(pair)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref.imag)) <= 1e-15 * np.max(np.abs(ref))
+
+    def test_mirrored_halves_share_storage(self):
+        n = 16
+        tab = potential._KernelTables(n)
+        lo_bytes = (n + 1) * 2 * n * (n + 1) * 8
+        # four lo tables plus the one stored (negated) hi, that of grad_x
+        assert tab.nbytes == 4 * lo_bytes + (n - 1) * 2 * n * (n + 1) * 8
+        assert tab.g_hat[0][1].base is None
+        for lo, hi in (tab.k_hat, tab.g_hat[1], tab.g_hat[2]):
+            assert hi.base is lo
+
+    def test_one_cache_entry_per_grid_size(self, monkeypatch, caplog):
+        monkeypatch.setattr(potential, "_tables_cache", {})
+        caplog.set_level(logging.INFO, logger="kstensor.potential")
+        rng = np.random.default_rng(5)
+        values = rng.random((16, 16, 16))
+        small = solve_potential_fast(DensityField(Grid3(16, 2.0), values))
+        large = solve_potential_fast(DensityField(Grid3(16, 4.0), values))
+        assert list(potential._tables_cache) == [16]
+        built = [r.getMessage() for r in caplog.records if "kernel tables" in r.getMessage()]
+        assert len(built) == 1 and "n_cells=16" in built[0]
+        # doubling h scales v by 4 and grad v by 2 through the one table;
+        # every scale here is a power of two, so the match is exact
+        for name, factor in (("v", 4.0), ("gx", 2.0), ("gy", 2.0), ("gz", 2.0)):
+            np.testing.assert_array_equal(getattr(large, name), factor * getattr(small, name))
+
+    def test_build_peak_memory_below_40mb(self):
+        tracemalloc.start()
+        try:
+            tab = potential._KernelTables(64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+        assert tab.nbytes <= 24e6
 
 
 class TestPointSource:

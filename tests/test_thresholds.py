@@ -46,12 +46,19 @@ class TestBlowupConstant:
             th.blowup_constant(IDENTITY, 0.0, 3)
 
     def test_higher_dimension_formula(self):
-        # n = 4: exponent 2/(n-2) = 1, omega_4 = pi^2/2
-        got = th.blowup_constant(IDENTITY, chi=1.0, n=4)
-        want = (2 ** (1 - 2.0) * 1.0) / (2 * 3.0 * 1.0 * 4 * math.pi**2 / 2)
-        # trace_pinv of the 3x3 identity flux is 3 even in the n=4 formula;
-        # dedicated n=4 tensors would carry their own trace
+        # n = 4: exponent 2/(n-2) = 1, omega_4 = pi^2/2, Tr(P^-1) = 4
+        got = th.blowup_constant(FluxTensor.from_matrix(np.eye(4)), chi=1.0, n=4)
+        want = (2 ** (1 - 2.0) * 1.0) / (2 * 4.0 * 1.0 * 4 * math.pi**2 / 2)
         assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("size, n", [(2, 3), (3, 4), (3, 5), (4, 3)])
+    def test_dimension_must_match_matrix(self, size, n):
+        flux = FluxTensor.from_matrix(np.eye(size))
+        with pytest.raises(BadParameter, match="does not match"):
+            th.blowup_constant(flux, 1.0, n)
+        for decide in (th.admissibility, th.rescale_epsilon):
+            with pytest.raises(BadParameter, match="does not match"):
+                decide(1e-5, 1.0, flux, 1.0, n)
 
     def test_orthogonal_congruence_invariance(self):
         rng = np.random.default_rng(41)
