@@ -61,9 +61,10 @@ def cmd_check_matrix(args) -> int:
 def cmd_thresholds(args) -> int:
     mat = _read_matrix(args)
     flux = FluxTensor.from_matrix(mat)
-    verdict = th.admissibility(args.moment, args.mass, flux, args.chi, args.dim)
+    dim = flux.n if args.dim is None else args.dim
+    verdict = th.admissibility(args.moment, args.mass, flux, args.chi, dim)
     eps = (
-        th.rescale_epsilon(args.moment, args.mass, flux, args.chi, args.dim)
+        th.rescale_epsilon(args.moment, args.mass, flux, args.chi, dim)
         if args.moment > 0.0
         else float("inf")
     )
@@ -133,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", help="matrix text file")
     p.add_argument("--inline", help="row-major comma-separated matrix")
     p.add_argument("--chi", type=float, required=True, help="chemotactic sensitivity (> 0)")
-    p.add_argument("--dim", type=int, default=3, help="space dimension n >= 3")
+    p.add_argument("--dim", type=int, help="space dimension n >= 3 (default: the matrix size)")
     p.add_argument("--mass", type=float, required=True, help="total mass M")
     p.add_argument("--moment", type=float, required=True, help="initial second moment m0")
     p.set_defaults(func=cmd_thresholds)

@@ -25,6 +25,7 @@ from .matrixflux import FluxTensor
 from .potential import (
     DensityField,
     PotentialField,
+    _displacements,
     _pair_blocks,
     solve_potential_direct,
     solve_potential_fast,
@@ -95,13 +96,6 @@ def interaction_integral_direct(u: DensityField) -> float:
     return interaction_integral(u, pot=solve_potential_direct(u))
 
 
-def _scaled_product(a: np.ndarray, coef: float, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """(coef * a) * b, written into out."""
-    np.multiply(a, coef, out=out)
-    out *= b
-    return out
-
-
 def interaction_symmetrized_direct(u: DensityField, u_orth: np.ndarray) -> float:
     """Direct evaluation of -(1/(n omega_n)) * sum over pairs of d.U d / |d|^n * u u.
 
@@ -111,30 +105,19 @@ def interaction_symmetrized_direct(u: DensityField, u_orth: np.ndarray) -> float
     """
     n = 3
     grid = u.grid
-    x, y, z = grid.meshes()
     uf = u.values.ravel()
     # pairs with a (near-)zero factor contribute nothing: restrict to support
     support = np.flatnonzero(uf > 1e-14 * uf.max())
-    coords = [x.ravel()[support], y.ravel()[support], z.ravel()[support]]
     uf = uf[support]
     s_mat = 0.5 * (np.asarray(u_orth, dtype=float) + np.asarray(u_orth, dtype=float).T)
-    rowsum = np.empty(uf.size)
-    for rows, d, r, (quad, tmp, cross) in _pair_blocks(coords, 3):
-        # quad = d . S d, summed in the order of the written-out quadratic form
-        d0, d1, d2 = d
-        _scaled_product(d0, s_mat[0, 0], d0, out=quad)
-        quad += _scaled_product(d1, s_mat[1, 1], d1, out=tmp)
-        quad += _scaled_product(d2, s_mat[2, 2], d2, out=tmp)
-        _scaled_product(d0, s_mat[0, 1], d1, out=cross)
-        cross += _scaled_product(d0, s_mat[0, 2], d2, out=tmp)
-        cross += _scaled_product(d1, s_mat[1, 2], d2, out=tmp)
-        cross *= 2.0
-        quad += cross
-        np.multiply(r, r, out=tmp)
-        r *= tmp  # |d|^3, inf on the self pair
-        quad /= r
-        rowsum[rows] = quad @ uf
-    total = float(uf @ rowsum)
+    # d . S d / |d|^3 on the displacement table: even under exchange, 0 at d = 0
+    d, r = _displacements(grid.n_cells)
+    table = np.einsum("ik,ij,jk->k", d, s_mat, d) / (grid.h * r**3)
+    total = 0.0
+    for s, e, blk in _pair_blocks(support, grid.n_cells, table):
+        # the block's square holds both orders of its pairs, the rest one order
+        rows = uf[s:e]
+        total += 2.0 * float(rows @ (blk @ uf[s:])) - float(rows @ (blk[:, : e - s] @ rows))
     return -total * grid.cell_volume**2 / (n * unit_ball_volume(n))
 
 

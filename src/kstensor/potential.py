@@ -9,7 +9,9 @@ convolution with the kernel K(x) = 1/(4 pi |x|):
   the way in or cropped away on the way out). The kernel spectra are real
   tables built once per n_cells from one octant by DCT-I/DST-I, free of the
   grid spacing, which enters as one scalar per inverse transform;
-* direct path: O(N^2) double sum, an independent oracle for the fast path.
+* direct path: O(N^2) double sum, an independent oracle for the fast path,
+  visiting each pair of cells once over a table of the (2n-1)^3 integer
+  displacements.
 
 Both paths share the same discretization: midpoint kernel samples, the
 singular self-cell replaced by the analytic mean of K over one cell, and a
@@ -45,9 +47,9 @@ _V_CORRECTION = 1.0 / 24.0
 _G_CORRECTION = 1.0 / 24.0 + CUBE_MEAN_INV_R / (12.0 * math.pi)
 
 DIRECT_MAX_CELLS = 24  # cost guard for the O(N^2) oracle
-# pair entries per row block of the O(N^2) oracles: about 1 MB per float64
-# buffer, so a block's working set stays in cache and below the allocator's
-# mmap threshold
+# table entries gathered per row block of the O(N^2) oracles: 1 MB of float64
+# whatever the table's width. Larger buffers raise glibc's dynamic mmap
+# threshold, and later calls then leave their blocks resident on the heap
 _BLOCK_PAIRS = 1 << 17
 FAST_MIN_CELLS = 16
 
@@ -346,34 +348,54 @@ def solve_potential_gradient(u: DensityField) -> tuple[np.ndarray, np.ndarray, n
     return gx, gy, gz
 
 
-def _pair_blocks(coords: list[np.ndarray], n_work: int):
-    """Row blocks of the pair geometry shared by the O(N^2) oracles.
+def _displacements(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer displacements of the (2n-1)^3 table, flattened in C order.
 
-    Yields (rows, d, r, work) per block of target rows: d[c] holds
-    coords[c][rows, None] - coords[c][None, :], r = |d| with the self pair's
-    distance set to inf (so 1/r is exactly 0 there), and work is n_work >= 1
-    scratch planes of the same shape. All of them are views into buffers
-    allocated once per call and overwritten by the next block.
+    Returns (d, r): d[c] is component c, from -(n-1) to n-1, and r = |d| with
+    the zero displacement at inf, so 1/r and d/r^3 are exactly 0 there.
     """
-    ncells = coords[0].size
-    nrows = max(1, min(ncells, _BLOCK_PAIRS // max(ncells, 1)))
-    d_buf = np.empty((3, nrows, ncells))
-    r_buf = np.empty((nrows, ncells))
-    work_buf = np.empty((n_work, nrows, ncells))
-    for s in range(0, ncells, nrows):
-        e = min(s + nrows, ncells)
-        d, r, work = d_buf[:, : e - s], r_buf[: e - s], work_buf[:, : e - s]
-        sq = work[0]
-        for c in range(3):
-            np.subtract(coords[c][s:e, None], coords[c][None, :], out=d[c])
-        np.multiply(d[0], d[0], out=r)
-        np.multiply(d[1], d[1], out=sq)
-        r += sq
-        np.multiply(d[2], d[2], out=sq)
-        r += sq
-        np.sqrt(r, out=r)
-        np.fill_diagonal(r[:, s:e], np.inf)
-        yield slice(s, e), d, r, work
+    a = np.arange(1 - n, n, dtype=float)
+    d = np.stack([c.ravel() for c in np.meshgrid(a, a, a, indexing="ij")])
+    r = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+    r[r == 0.0] = np.inf
+    return d, r
+
+
+def _pair_blocks(cells: np.ndarray, n: int, table: np.ndarray):
+    """Each unordered pair of `cells` once, with its entry of a displacement table.
+
+    `cells` are flat indices into the n^3 grid; `table` has one row per
+    displacement of `_displacements(n)`. Per block of rows [s, e), yields
+    (s, e, vals): vals[a, b] is the table row at cell s+a minus cell s+b, over
+    the upper-triangle columns [s, len(cells)). The block's own square is
+    full; a pair beyond it appears only here, so a kernel even under exchange
+    reaches the later cell by transpose, and an odd one with a sign flip
+    (Allen & Tildesley, Computer Simulation of Liquids, 1987). A block holds
+    at most _BLOCK_PAIRS table entries, or one row if that is more; its index
+    and value buffers are allocated once per call and overwritten by the next
+    block.
+    """
+    m = 2 * n - 1
+    i, j, k = np.unravel_index(cells, (n, n, n))
+    lin = (i * m + j) * m + k
+    # the table's centre, the zero displacement, goes onto the row side
+    lin_rows = lin + (n - 1) * (m * m + m + 1)
+    ncells = lin.size
+    pairs = max(1, _BLOCK_PAIRS // table[0].size)
+    size = min(max(pairs, ncells), ncells * ncells)  # at least one full row
+    idx_buf = np.empty(size, dtype=np.intp)
+    vals_buf = np.empty((size,) + table.shape[1:])
+    s = 0
+    while s < ncells:
+        cols = ncells - s
+        e = min(ncells, s + max(1, pairs // cols))
+        idx = idx_buf[: (e - s) * cols].reshape(e - s, cols)
+        np.subtract(lin_rows[s:e, None], lin[None, s:], out=idx)
+        vals = vals_buf[: idx.size].reshape(idx.shape + table.shape[1:])
+        # mode="clip" never clips here; it spares the buffered copy of "raise"
+        np.take(table, idx, axis=0, out=vals, mode="clip")
+        yield s, e, vals
+        s = e
 
 
 def solve_potential_direct(u: DensityField) -> PotentialField:
@@ -382,29 +404,29 @@ def solve_potential_direct(u: DensityField) -> PotentialField:
     n, h = grid.n_cells, grid.h
     if n > DIRECT_MAX_CELLS:
         raise TooLarge(f"direct solver limited to {DIRECT_MAX_CELLS}^3 cells, got {n}^3")
-    x, y, z = grid.meshes()
-    coords = [x.ravel(), y.ravel(), z.ravel()]
+    # one row per displacement: K = 1/(4 pi |x|), even under exchange, then
+    # grad K = -x/(4 pi |x|^3), odd; all 0 on the self pair, which carries the
+    # analytic cell mean instead
+    d, r = _displacements(n)
+    table = np.empty((r.size, 4))
+    table[:, 0] = 1.0 / (4.0 * math.pi * h * r)
+    table[:, 1:] = (d / (-4.0 * math.pi * h * h * r**3)).T
+    parity = np.array([1.0, -1.0, -1.0, -1.0])
     uf = u.values.ravel()
-    ncells = uf.size
-    v = np.empty(ncells)
-    g = [np.empty(ncells) for _ in range(3)]
-    self_k = CUBE_MEAN_INV_R / (4.0 * math.pi * h)
-    inv4pi = 1.0 / (4.0 * math.pi)
-    for rows, d, r, (inv_r, cube) in _pair_blocks(coords, 2):
-        np.divide(1.0, r, out=inv_r)
-        # the singular self pair (1/inf = 0 in inv_r) carries the analytic cell mean
-        v[rows] = inv4pi * (inv_r @ uf) + self_k * uf[rows]
-        np.multiply(inv_r, inv_r, out=cube)
-        cube *= inv_r
-        for c in range(3):
-            d[c] *= cube
-            g[c][rows] = -inv4pi * (d[c] @ uf)
+    sums = np.zeros((uf.size, 4))
+    for s, e, blk in _pair_blocks(np.arange(uf.size), n, table):
+        # rows [s, e) take every column from s on; the later cells take the
+        # block's rows by transpose, with the odd grad K columns negated
+        sums[s:e] += uf[s:] @ blk
+        sums[e:] += (uf[s:e] @ blk[:, e - s :].reshape(e - s, -1)).reshape(-1, 4) * parity
+    sums[:, 0] += (CUBE_MEAN_INV_R / (4.0 * math.pi * h)) * uf
     scale = grid.cell_volume
     shape = u.values.shape
-    vv = v.reshape(shape) * scale + (_V_CORRECTION * h * h) * u.values
+    vv = sums[:, 0].reshape(shape) * scale + (_V_CORRECTION * h * h) * u.values
     du = _grad_centered(u.values, h)
     gg = [
-        g[c].reshape(shape) * scale + (_G_CORRECTION * h * h) * du[c] for c in range(3)
+        sums[:, c + 1].reshape(shape) * scale + (_G_CORRECTION * h * h) * du[c]
+        for c in range(3)
     ]
     return PotentialField(grid, vv, gg[0], gg[1], gg[2])
 

@@ -7,7 +7,9 @@ drifting build shows up as shrinking slack before it fails outright.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +24,8 @@ from .potential import (
     solve_potential_direct,
     solve_potential_fast,
 )
+
+logger = logging.getLogger(__name__)
 
 SUITES = ("potential-oracle", "biler", "gradv-bound", "moment-identity", "all")
 
@@ -160,17 +164,25 @@ def suite_moment_identity() -> list[CaseResult]:
 
 
 def run_suite(name: str) -> list[CaseResult]:
+    """Run one named suite; logs one INFO line with its case counts and wall time."""
+    t0 = time.perf_counter()
     if name == "potential-oracle":
-        return suite_potential_oracle()
-    if name == "biler":
-        return suite_biler()
-    if name == "gradv-bound":
-        return suite_gradv_bound()
-    if name == "moment-identity":
-        return suite_moment_identity()
-    if name == "all":
+        results = suite_potential_oracle()
+    elif name == "biler":
+        results = suite_biler()
+    elif name == "gradv-bound":
+        results = suite_gradv_bound()
+    elif name == "moment-identity":
+        results = suite_moment_identity()
+    elif name == "all":
         results = []
         for sub in SUITES[:-1]:
             results.extend(run_suite(sub))
-        return results
-    raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    else:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    logger.info(
+        "suite %s: %d cases run, %d passed, %.1f ms",
+        name, len(results), sum(res.passed for res in results),
+        1e3 * (time.perf_counter() - t0),
+    )
+    return results

@@ -1,3 +1,6 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -112,7 +115,7 @@ class TestThresholds:
 
     @pytest.mark.parametrize(
         "inline, dim",
-        [("1,0,0,1", "3"), (IDENT, "4"), (IDENT, "5")],
+        [("1,0,0,1", "3"), (IDENT, "4"), (IDENT, "5"), (",".join("1000010000100001"), "3")],
     )
     def test_dimension_mismatch_rejected(self, capsys, inline, dim):
         code, out, err = run_cli(
@@ -122,6 +125,27 @@ class TestThresholds:
         assert code == 1
         assert out == ""
         assert "does not match" in err
+
+    def test_dimension_defaults_to_matrix_size(self, capsys):
+        ident4 = ",".join("1" if i % 5 == 0 else "0" for i in range(16))
+        common = ("--chi", "1", "--mass", "1", "--moment", "1e-5")
+        code, out, _ = run_cli(capsys, "thresholds", "--inline", ident4, *common)
+        assert code == 0
+        assert "c_bl=0.00316628698882" in out
+        code_dim, out_dim, _ = run_cli(
+            capsys, "thresholds", "--inline", ident4, "--dim", "4", *common
+        )
+        assert code_dim == 0
+        assert out_dim == out
+
+    def test_default_dimension_below_three_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "thresholds", "--inline", "1,0,0,1",
+            "--chi", "1", "--mass", "1", "--moment", "1e-5",
+        )
+        assert code == 1
+        assert out == ""
+        assert "dimension must be >= 3" in err
 
     def test_zero_chi_rejected(self, capsys):
         code, _, err = run_cli(
@@ -195,6 +219,14 @@ class TestVerify:
         assert "PASS" in out
         assert "FAIL" not in out
         assert "margin=" in out
+
+    def test_verbose_logs_one_line_per_suite(self, capsys, caplog):
+        with caplog.at_level(logging.INFO, logger="kstensor.verify"):
+            code, _, _ = run_cli(capsys, "-v", "verify", "potential-oracle")
+        assert code == 0
+        lines = [r.getMessage() for r in caplog.records if r.name == "kstensor.verify"]
+        assert len(lines) == 1
+        assert re.fullmatch(r"suite potential-oracle: 5 cases run, 5 passed, \d+\.\d ms", lines[0])
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):

@@ -166,10 +166,34 @@ class TestMomentRhs:
         u = gaussian_field(Grid3(16, 4.0), sigma=1.0)
         u_orth = FluxTensor.from_matrix(rotation_z(math.pi / 4)).u_orth
         ref = fn.interaction_symmetrized_direct(u, u_orth)
-        # 3 rows per block, and a last block of one row; only the BLAS
-        # summation order of the row products may change
+        # short first blocks, growing as the triangle's rows shorten; only
+        # the summation order of the block products may change
         monkeypatch.setattr(potential, "_BLOCK_PAIRS", 3 * 16**3 + 5)
         assert fn.interaction_symmetrized_direct(u, u_orth) == pytest.approx(ref, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("split", [False, True])
+    def test_symmetrized_matches_dense_sum(self, monkeypatch, n, split):
+        # zero cells exercise the support restriction, a small block size the
+        # off-square pairs that count twice
+        if split:
+            monkeypatch.setattr(potential, "_BLOCK_PAIRS", 3 * n**3 + 1)
+        rng = np.random.default_rng(n)
+        vals = rng.random((n, n, n))
+        vals[rng.random((n, n, n)) < 0.5] = 0.0
+        grid = Grid3(n, 2.0)
+        u = DensityField(grid, vals)
+        u_orth = FluxTensor.from_matrix(rotation_z(math.pi / 3)).u_orth
+        s_mat = 0.5 * (u_orth + u_orth.T)
+        c = np.stack([m.ravel() for m in grid.meshes()])
+        d = c[:, :, None] - c[:, None, :]
+        r = np.sqrt(np.sum(d * d, axis=0))
+        np.fill_diagonal(r, np.inf)
+        quad = np.einsum("iab,ij,jab->ab", d, s_mat, d) / r**3
+        uf = vals.ravel()
+        want = -(uf @ quad @ uf) * grid.cell_volume**2 / (4 * math.pi)
+        got = fn.interaction_symmetrized_direct(u, u_orth)
+        assert abs(got - want) <= 1e-13 * abs(want)
 
     def test_bound_reference_value(self):
         flux = FluxTensor.from_matrix(np.eye(3))

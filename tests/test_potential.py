@@ -140,7 +140,7 @@ class TestOracleEquivalence:
 
 
 class TestDirectBlocks:
-    # the O(N^2) oracle runs in fixed-size row blocks with buffers reused
+    # the O(N^2) oracle runs in bounded row blocks with buffers reused
     # across blocks, so its working set does not grow with the cell count
 
     def test_peak_memory_below_16mb(self):
@@ -156,13 +156,74 @@ class TestDirectBlocks:
     def test_small_blocks_match_default(self, monkeypatch):
         u = DensityField(Grid3(16, 2.0), np.random.default_rng(1).random((16, 16, 16)))
         ref = solve_potential_direct(u)
-        # 3 rows per block, and a last block of one row; only the BLAS
-        # summation order of the row products may change
+        # short first blocks, growing as the triangle's rows shorten; only
+        # the summation order of the block products may change
         monkeypatch.setattr(potential, "_BLOCK_PAIRS", 3 * 16**3 + 5)
         got = solve_potential_direct(u)
         for name in ("v", "gx", "gy", "gz"):
             a, b = getattr(got, name), getattr(ref, name)
             assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b)), name
+
+
+def dense_direct(u):
+    """The direct sum from all N x N coordinate differences at once: no blocks, no table."""
+    grid = u.grid
+    h = grid.h
+    c = np.stack([m.ravel() for m in grid.meshes()])
+    d = c[:, :, None] - c[:, None, :]
+    r = np.sqrt(np.sum(d * d, axis=0))
+    np.fill_diagonal(r, np.inf)
+    uf = u.values.ravel()
+    v = (1.0 / (4 * math.pi * r)) @ uf + CUBE_MEAN_INV_R / (4 * math.pi * h) * uf
+    g = [(-d[k] / (4 * math.pi * r**3)) @ uf for k in range(3)]
+    du = potential._grad_centered(u.values, h)
+    shape = u.values.shape
+    v = v.reshape(shape) * h**3 + potential._V_CORRECTION * h * h * u.values
+    g = [g[k].reshape(shape) * h**3 + potential._G_CORRECTION * h * h * du[k] for k in range(3)]
+    return v, *g
+
+
+def sparse_random_field(n, seed):
+    """Random density with about half its cells exactly zero."""
+    rng = np.random.default_rng(seed)
+    vals = rng.random((n, n, n))
+    vals[rng.random((n, n, n)) < 0.5] = 0.0
+    return DensityField(Grid3(n, 2.0), vals)
+
+
+class TestPairWalk:
+    # each unordered pair once over a displacement table, against the dense sum;
+    # a small block size leaves pairs beyond each block's square, which reach
+    # the later cell by transpose (with a sign flip for the odd gradient)
+
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("split", [False, True])
+    def test_direct_matches_dense_sum(self, monkeypatch, n, split):
+        if split:
+            monkeypatch.setattr(potential, "_BLOCK_PAIRS", 3 * n**3 + 1)
+        u = sparse_random_field(n, seed=n)
+        got = solve_potential_direct(u)
+        for name, want in zip(("v", "gx", "gy", "gz"), dense_direct(u)):
+            a = getattr(got, name)
+            assert np.max(np.abs(a - want)) <= 1e-13 * np.max(np.abs(want)), name
+
+    def test_blocks_cover_each_pair_once(self, monkeypatch):
+        monkeypatch.setattr(potential, "_BLOCK_PAIRS", 10)  # blocks of 1, 2 and 3 rows
+        n = 4
+        cells = np.array([0, 5, 6, 17, 40, 63])
+        d, _ = potential._displacements(n)
+        table = np.arange(d.shape[1], dtype=float)
+        c = np.stack(np.unravel_index(cells, (n, n, n)))
+        seen = []
+        for s, e, vals in potential._pair_blocks(cells, n, table):
+            assert vals.shape == (e - s, cells.size - s)
+            for a in range(e - s):
+                for b in range(cells.size - s):
+                    delta = d[:, int(vals[a, b])]
+                    np.testing.assert_array_equal(delta, c[:, s + a] - c[:, s + b])
+                    if b >= e - s or a <= b:
+                        seen.append((s + a, s + b))
+        assert sorted(seen) == [(a, b) for a in range(cells.size) for b in range(a, cells.size)]
 
 
 class TestPrunedTransforms:
