@@ -121,16 +121,19 @@ def interaction_symmetrized_direct(u: DensityField, u_orth: np.ndarray) -> float
     return -total * grid.cell_volume**2 / (n * unit_ball_volume(n))
 
 
-def biler_check(u: DensityField) -> tuple[float, float, bool]:
+def biler_check(
+    u: DensityField, pot: PotentialField | None = None
+) -> tuple[float, float, bool]:
     """Mass-moment-interaction inequality M^(n/2+1) <= J (2m)^(n/2-1), n = 3.
 
     Returns (lhs, rhs, ok) with ok allowing the analytic round-off slack.
+    J comes from ``pot`` when a solved PotentialField is supplied.
     """
     m_tot = u.mass
     if m_tot <= 0.0:
         raise ZeroField("biler_check requires a nonzero density")
     n = 3
-    j = interaction_integral(u)
+    j = interaction_integral(u, pot=pot)
     m2 = second_moment(u)
     lhs = m_tot ** (n / 2.0 + 1.0)
     rhs = j * (2.0 * m2) ** (n / 2.0 - 1.0)

@@ -146,6 +146,8 @@ class SimOutcome:
     sup_growth_factor: float
     min_density: float = 0.0  # smallest cell value seen across all steps
     message: str = ""
+    # time of the first record whose moments are not trusted (moments_valid)
+    moments_invalid_t: float | None = None
 
 
 def make_initial_data(
@@ -378,6 +380,7 @@ def run(config: SimConfig, flux: FluxTensor | None = None) -> SimOutcome:
         sup_growth_factor=growth,
         min_density=min_density,
         message=message,
+        moments_invalid_t=next((r.t for r in records if not r.moments_valid), None),
     )
     logger.info(
         "run end: %s at t=%.6g after %d steps (growth %.1fx, dt %.3e)",
@@ -398,6 +401,8 @@ def write_outcome(outcome: SimOutcome, path: str) -> None:
         fh.write(f"sup_growth_factor={outcome.sup_growth_factor:.12e}\n")
         if outcome.message:
             fh.write(f"message={outcome.message}\n")
+        if outcome.moments_invalid_t is not None:
+            fh.write(f"moments_invalid_t={outcome.moments_invalid_t:.12e}\n")
 
 
 # ---------------------------------------------------------------------------

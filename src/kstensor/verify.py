@@ -19,6 +19,7 @@ from .matrixflux import FluxTensor, rotation_z
 from .potential import (
     DensityField,
     Grid3,
+    PotentialField,
     ball_values,
     gaussian_values,
     solve_potential_direct,
@@ -29,6 +30,9 @@ logger = logging.getLogger(__name__)
 
 SUITES = ("potential-oracle", "biler", "gradv-bound", "moment-identity", "all")
 
+# (name, density, its fast-solved potential) for each density of a battery
+Battery = list[tuple[str, DensityField, PotentialField]]
+
 
 @dataclass
 class CaseResult:
@@ -38,8 +42,13 @@ class CaseResult:
     passed: bool
 
 
-def density_suite(n_cells: int = 32, half_width: float = 4.0) -> list[tuple[str, DensityField]]:
-    """The stock 12-density battery: Gaussians, balls, bumps, random fields."""
+def density_suite(
+    n_cells: int = 32, half_width: float = 4.0, count: int | None = None
+) -> list[tuple[str, DensityField]]:
+    """The stock 12-density battery: Gaussians, balls, bumps, random fields.
+
+    ``count`` builds only the first ``count`` densities.
+    """
     grid = Grid3(n_cells, half_width)
     r2 = grid.radius_squared()
 
@@ -55,23 +64,32 @@ def density_suite(n_cells: int = 32, half_width: float = 4.0) -> list[tuple[str,
         envelope = np.exp(-r2 / (2.0 * (half_width / 3.5) ** 2))
         return raw * envelope
 
-    shell = np.exp(-((np.sqrt(r2) - 1.0) ** 2) / (2 * 0.3**2))
-    fields = [
-        ("gaussian_s0.5", gaussian_values(grid, 1.0, 0.5)),
-        ("gaussian_s1.0", gaussian_values(grid, 1.0, 1.0)),
-        ("gaussian_s1.5_m2", gaussian_values(grid, 2.0, 1.5 * 0.6)),
-        ("aniso_gaussian", gaussian_values(grid, 1.0, (0.5, 0.7, 1.0))),
-        ("strong_aniso", gaussian_values(grid, 1.0, (0.3, 0.3, 1.5))),
-        ("offset_gaussian", gaussian_values(grid, 1.0, 0.6, (0.5, -0.3, 0.2))),
-        ("ball_r1", ball_values(grid, 1.0, 1.0)),
-        ("ball_r1.5_m0.5", ball_values(grid, 0.5, 1.5)),
-        ("two_bump", gaussian_values(grid, 0.6, 0.4, (0.8, 0, 0))
+    def shell():
+        return np.exp(-((np.sqrt(r2) - 1.0) ** 2) / (2 * 0.3**2))
+
+    makers = [
+        ("gaussian_s0.5", lambda: gaussian_values(grid, 1.0, 0.5)),
+        ("gaussian_s1.0", lambda: gaussian_values(grid, 1.0, 1.0)),
+        ("gaussian_s1.5_m2", lambda: gaussian_values(grid, 2.0, 1.5 * 0.6)),
+        ("aniso_gaussian", lambda: gaussian_values(grid, 1.0, (0.5, 0.7, 1.0))),
+        ("strong_aniso", lambda: gaussian_values(grid, 1.0, (0.3, 0.3, 1.5))),
+        ("offset_gaussian", lambda: gaussian_values(grid, 1.0, 0.6, (0.5, -0.3, 0.2))),
+        ("ball_r1", lambda: ball_values(grid, 1.0, 1.0)),
+        ("ball_r1.5_m0.5", lambda: ball_values(grid, 0.5, 1.5)),
+        ("two_bump", lambda: gaussian_values(grid, 0.6, 0.4, (0.8, 0, 0))
          + gaussian_values(grid, 0.4, 0.4, (-0.8, 0, 0))),
-        ("smooth_random_1", smooth_random(1)),
-        ("smooth_random_2", smooth_random(2)),
+        ("smooth_random_1", lambda: smooth_random(1)),
+        ("smooth_random_2", lambda: smooth_random(2)),
         ("gaussian_shell", shell),
     ]
-    return [(name, DensityField(grid, vals)) for name, vals in fields]
+    return [(name, DensityField(grid, make())) for name, make in makers[:count]]
+
+
+def solved_battery(
+    n_cells: int = 32, half_width: float = 4.0, count: int | None = None
+) -> Battery:
+    """`density_suite` with each density's fast-solved potential: (name, u, pot)."""
+    return [(name, u, solve_potential_fast(u)) for name, u in density_suite(n_cells, half_width, count)]
 
 
 def suite_potential_oracle(seeds: int = 3) -> list[CaseResult]:
@@ -111,73 +129,84 @@ def suite_potential_oracle(seeds: int = 3) -> list[CaseResult]:
     return out
 
 
-def suite_biler() -> list[CaseResult]:
+def suite_biler(battery: Battery | None = None) -> list[CaseResult]:
     """Mass-moment-interaction inequality over the stock density battery."""
     out = []
-    for name, u in density_suite():
-        lhs, rhs, ok = fn.biler_check(u)
+    for name, u, pot in solved_battery() if battery is None else battery:
+        lhs, rhs, ok = fn.biler_check(u, pot=pot)
         out.append(CaseResult("biler", name, rhs / lhs - 1.0, ok))
     return out
 
 
-def suite_gradv_bound() -> list[CaseResult]:
+def suite_gradv_bound(battery: Battery | None = None) -> list[CaseResult]:
     """Measured max |grad v| never exceeds the optimized analytic bound."""
     out = []
-    for name, u in density_suite():
-        pot = solve_potential_fast(u)
+    for name, u, pot in solved_battery() if battery is None else battery:
         measured = float(pot.gradient_magnitude().max())
         bound, _ = fn.gradv_sup_bound(u)
         out.append(CaseResult("gradv-bound", name, bound / measured - 1.0, measured <= bound))
     return out
 
 
-def suite_moment_identity() -> list[CaseResult]:
+def suite_moment_identity(battery: Battery | None = None) -> list[CaseResult]:
     """Identity vs symmetrized direct sum, and the identity-to-bound chain."""
+    if battery is None:
+        battery = solved_battery()
     out = []
     flux_rot = FluxTensor.from_matrix(rotation_z(math.pi / 4))
     flux_id = FluxTensor.from_matrix(np.eye(3))
     chi = 1.0
 
     # identity route equals the symmetrized double-sum route (exchange of x, y)
-    for name, u in density_suite(n_cells=16, half_width=4.0)[:4]:
-        ident = fn.moment_rhs_identity(u, flux_rot, chi)
+    for name, u, pot in solved_battery(n_cells=16, half_width=4.0, count=4):
+        ident = fn.moment_rhs_identity(u, flux_rot, chi, pot=pot)
         adv_direct = fn.interaction_symmetrized_direct(u, flux_rot.u_orth)
         direct = 2.0 * flux_rot.trace_pinv * u.mass + chi * adv_direct
         rel = abs(ident - direct) / max(abs(direct), 1e-300)
         out.append(CaseResult("moment-identity", f"symmetrized_{name}", 1e-2 - rel, rel <= 1e-2))
 
     # with U = I the advective term collapses to -chi J / (n omega_n)
-    for name, u in density_suite()[:4]:
-        ident = fn.moment_rhs_identity(u, flux_id, chi)
-        collapsed = 6.0 * u.mass - chi / (4.0 * math.pi) * fn.interaction_integral(u)
+    for name, u, pot in battery[:4]:
+        ident = fn.moment_rhs_identity(u, flux_id, chi, pot=pot)
+        collapsed = 6.0 * u.mass - chi / (4.0 * math.pi) * fn.interaction_integral(u, pot=pot)
         rel = abs(ident - collapsed) / max(abs(collapsed), 1e-300)
         out.append(CaseResult("moment-identity", f"collapsed_{name}", 1e-2 - rel, rel <= 1e-2))
 
     # inequality chain: identity <= bound within discretization slack
-    for name, u in density_suite():
+    for name, u, pot in battery:
         w = fn.weighted_moment(u, flux_rot.p_inv)
-        ident = fn.moment_rhs_identity(u, flux_rot, chi)
+        ident = fn.moment_rhs_identity(u, flux_rot, chi, pot=pot)
         bound = fn.moment_rhs_bound(w, u.mass, flux_rot, chi)
         slack = 0.02 * max(abs(ident), abs(bound))
         out.append(CaseResult("moment-identity", f"chain_{name}", (bound + slack) - ident, ident <= bound + slack))
     return out
 
 
-def run_suite(name: str) -> list[CaseResult]:
-    """Run one named suite; logs one INFO line with its case counts and wall time."""
+_BATTERY_SUITES = {
+    "biler": suite_biler,
+    "gradv-bound": suite_gradv_bound,
+    "moment-identity": suite_moment_identity,
+}
+
+
+def run_suite(name: str, battery: Battery | None = None) -> list[CaseResult]:
+    """Run one named suite; logs one INFO line with its case counts and wall time.
+
+    The suites that read the 32^3 battery take ``battery`` when given and
+    solve their own otherwise; "all" solves one and hands it to each of them.
+    """
     t0 = time.perf_counter()
     if name == "potential-oracle":
         results = suite_potential_oracle()
-    elif name == "biler":
-        results = suite_biler()
-    elif name == "gradv-bound":
-        results = suite_gradv_bound()
-    elif name == "moment-identity":
-        results = suite_moment_identity()
+    elif name in _BATTERY_SUITES:
+        results = _BATTERY_SUITES[name](battery)
     elif name == "all":
-        results = []
-        for sub in SUITES[:-1]:
-            results.extend(run_suite(sub))
+        results = run_suite("potential-oracle")
+        # solved only now: the battery (about 16 MB) must not be alive
+        # during the oracle's 64^3 solve, which sets the peak memory
+        battery = solved_battery()
+        for sub in _BATTERY_SUITES:
+            results.extend(run_suite(sub, battery))
     else:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     logger.info(

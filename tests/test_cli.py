@@ -220,6 +220,13 @@ class TestVerify:
         assert "FAIL" not in out
         assert "margin=" in out
 
+    def test_all_suites_pass(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "all")
+        lines = out.splitlines()
+        assert code == 0
+        assert sum(line.startswith("PASS ") for line in lines) == 49
+        assert lines[-1] == "49/49 cases passed"
+
     def test_verbose_logs_one_line_per_suite(self, capsys, caplog):
         with caplog.at_level(logging.INFO, logger="kstensor.verify"):
             code, _, _ = run_cli(capsys, "-v", "verify", "potential-oracle")

@@ -226,6 +226,22 @@ class TestFluxTensor:
             sym_min = symmetric_part_margin(flux.u_orth)
             assert abs(flux.kappa - sym_min) < 1e-10
 
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-170])
+    def test_pinv_spectrum_accurate_when_ill_conditioned(self, scale):
+        # singular values (1e-5, 2e-5, 1, ...): the square roots of the
+        # eigenvalues of a a^T would lose eps * cond^2 (about 1e-6 here);
+        # the eigenvalues of P keep lam_max and trace_pinv to eps * cond
+        rng = np.random.default_rng(31)
+        for n in (3, 4, 5, 6):
+            sv = np.ones(n)
+            sv[:2] = (1e-5, 2e-5)
+            q1, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            q2, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            flux = FluxTensor.from_matrix(scale * (q1 * sv) @ q2.T)
+            assert flux.lam_min == pytest.approx(1.0 / scale, rel=1e-9)
+            assert flux.lam_max == pytest.approx(1e5 / scale, rel=1e-9)
+            assert flux.trace_pinv == pytest.approx(np.sum(1.0 / sv) / scale, rel=1e-9)
+
     def test_kappa_scaling_invariance(self):
         rng = np.random.default_rng(29)
         a = random_nonsingular(rng, 5)

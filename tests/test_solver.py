@@ -298,6 +298,32 @@ class TestRun:
         data = np.genfromtxt(str(outdir / "diagnostics.csv"), delimiter=",", names=True)
         assert data["t"].shape[0] == len(out.records)
 
+    def test_first_untrusted_record_time_reported(self, tmp_path):
+        # sigma = 0.5 on a 16^3 box of half width 4: diffusion carries mass
+        # into the 2-cell shell, past BOUNDARY_VALID_LIMIT after a few records
+        cfg = small_config(
+            n_cells=16,
+            half_width=4.0,
+            initial=InitialData(kind="gaussian", mass=1.0, sigma=(0.5, 0.5, 0.5)),
+            t_end=0.5,
+            dt_max=0.05,
+            diagnostics_every=1,
+            output_dir=str(tmp_path),
+        )
+        out = run(cfg)
+        invalid = [r.t for r in out.records if not r.moments_valid]
+        assert out.records[0].moments_valid and invalid
+        assert out.moments_invalid_t == invalid[0]
+        assert out.moments_invalid_t < out.t_final
+        text = (tmp_path / "outcome.txt").read_text()
+        assert f"moments_invalid_t={invalid[0]:.12e}\n" in text
+
+    def test_valid_moments_leave_no_key(self, tmp_path):
+        out = run(small_config(t_end=0.2, output_dir=str(tmp_path)))
+        assert all(r.moments_valid for r in out.records)
+        assert out.moments_invalid_t is None
+        assert "moments_invalid_t" not in (tmp_path / "outcome.txt").read_text()
+
     def test_record_potential_feeds_next_drift(self, monkeypatch):
         # a record's full solve also drives the next step, so every step
         # costs one solve and the trajectory does not depend on the cadence
