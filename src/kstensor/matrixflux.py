@@ -34,46 +34,38 @@ BOUNDARY_TOL = 1e-10
 ROUTE_AGREE_TOL = 1e-10
 
 
-def polar_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factor a nonsingular matrix as a = p @ u with p SPD and u orthogonal.
-
-    p is the positive-definite square root of a a^T, computed from the
-    symmetric eigendecomposition a a^T = V diag(mu) V^T as
-    p = V diag(sqrt(mu)) V^T; then u = p^(-1) a evaluated in the same basis.
-
-    Raises BadParameter when an entry is NaN or infinite, and SingularMatrix
-    when the smallest singular value of ``a`` is below SINGULAR_RTOL times
-    the largest.
-    """
+def _polar(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p, u, sigma) of polar_decompose, with sigma the descending singular values."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise BadParameter(f"matrix entries must be finite, got {a.tolist()}")
-    n = a.shape[0]
-    # a power of two near the largest entry keeps a a^T clear of overflow and
-    # underflow; scaling by it is exact, and u does not depend on it
+    # factor a scaled by a power of two near its largest entry: the scaling is
+    # exact, so results stay bitwise equal under power-of-two scaling of a
     exp = math.frexp(np.abs(a).max())[1]
-    a = np.ldexp(a, -exp)
-    mu, vecs = np.linalg.eigh(a @ a.T)
-    # mu are squared singular values of a, ascending
-    if mu[0] <= 0.0 or np.sqrt(mu[0]) <= SINGULAR_RTOL * np.sqrt(mu[-1]):
-        ratio = np.sqrt(max(mu[0], 0.0) / mu[-1]) if mu[-1] > 0.0 else 0.0
+    w, sigma, vt = np.linalg.svd(np.ldexp(a, -exp))
+    if sigma[-1] <= SINGULAR_RTOL * sigma[0]:
+        ratio = sigma[-1] / sigma[0] if sigma[0] > 0.0 else 0.0
         raise SingularMatrix(
             f"matrix is singular to working precision (sigma_min/sigma_max = {ratio:.3e})"
         )
-    u = (vecs / np.sqrt(mu)) @ vecs.T @ a
-    # the eigh route leaves an orthogonality defect of order eps * cond(a);
-    # a quadratically convergent polish pushes it to the round-off floor
-    eye = np.eye(n)
-    for _ in range(4):
-        defect = u.T @ u - eye
-        if np.linalg.norm(defect) < 1e-14:
-            break
-        u = u @ (eye - 0.5 * defect)
-    p = a @ u.T
+    p = (w * sigma) @ w.T
     # enforce exact symmetry against round-off, halve, and undo the scaling
-    return np.ldexp(p + p.T, exp - 1), u
+    return np.ldexp(p + p.T, exp - 1), w @ vt, np.ldexp(sigma, exp)
+
+
+def polar_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factor a nonsingular matrix as a = p @ u with p SPD and u orthogonal.
+
+    One SVD a = W diag(sigma) V^T gives p = W diag(sigma) W^T and u = W V^T,
+    so u is orthogonal to round-off and sigma is accurate to eps * cond(a).
+
+    Raises BadParameter when an entry is NaN or infinite, and SingularMatrix
+    when the smallest singular value of ``a`` is at or below SINGULAR_RTOL
+    times the largest.
+    """
+    return _polar(a)[:2]
 
 
 def canonical_spectrum(u_orth: np.ndarray) -> tuple[list[float], list[float]]:
@@ -168,10 +160,8 @@ class FluxTensor:
         blow-up machinery is not claimed to apply there.
         """
         a = np.array(a, dtype=float)
+        p, u, sigma = _polar(a)
         n = a.shape[0]
-        if n < 1:
-            raise ValueError("empty matrix")
-        p, u = polar_decompose(a)
         angles, real_eigs = canonical_spectrum(u)
         kappa = float(min([np.cos(al) for al in angles] + list(real_eigs) + [1.0]))
         margin = symmetric_part_margin(u)
@@ -179,11 +169,10 @@ class FluxTensor:
             raise NotOrthogonal(
                 f"kappa routes disagree: spectrum {kappa:.15g} vs symmetric {margin:.15g}"
             )
-        # eigenvalues of P^(-1) are reciprocals of P's (singular values of A)
-        p_eigs = np.linalg.eigvalsh(p)
-        lam_min = float(1.0 / p_eigs[-1])
-        lam_max = float(1.0 / p_eigs[0])
-        trace_pinv = float(np.sum(1.0 / p_eigs))
+        # eigenvalues of P^(-1) are reciprocals of the singular values of A
+        lam_min = float(1.0 / sigma[0])
+        lam_max = float(1.0 / sigma[-1])
+        trace_pinv = float(np.sum(1.0 / sigma))
         ok = all(e > 0.0 for e in real_eigs) and kappa > BOUNDARY_TOL
         return cls(
             a=a,

@@ -285,11 +285,10 @@ def step(u: DensityField, flux: FluxTensor, chi: float, dt: float) -> DensityFie
     return DensityField(u.grid, _advance(u.values, bfaces, u.grid, dt))
 
 
-def run(config: SimConfig, flux: FluxTensor | None = None) -> SimOutcome:
+def run(config: SimConfig) -> SimOutcome:
     """Integrate the configured experiment; write artifacts if output_dir is set."""
     config.validate()
-    if flux is None:
-        flux = FluxTensor.from_matrix(config.matrix)
+    flux = FluxTensor.from_matrix(config.matrix)
     grid = config.grid
     h = grid.h
     u = make_initial_data(config.initial, grid, config.epsilon)

@@ -69,6 +69,18 @@ class TestCheckMatrix:
         assert "kappa=1\n" in out
         assert f"trace_pinv=3e{-int(scale[2:]):+04d}" in out
 
+    def test_ill_conditioned_matrix_decided(self, capsys):
+        # singular values (1, 0.5, 1e-9): inside the singular gate, so the
+        # command gives a verdict instead of an error
+        rng = np.random.default_rng(5)
+        q1, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        q2, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        a = (q1 * (1.0, 0.5, 1e-9)) @ q2.T
+        entries = ",".join(repr(float(x)) for x in a.ravel())
+        code, out, err = run_cli(capsys, "check-matrix", f"--inline={entries}")
+        assert code in (0, 2), err
+        assert re.search(r"^hypothesis=(true|false)$", out, re.MULTILINE)
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "check-matrix", "--inline", ROT60)
         _, out2, _ = run_cli(capsys, "check-matrix", "--inline", ROT60)

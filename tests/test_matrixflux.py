@@ -25,6 +25,13 @@ def random_nonsingular(rng, n, max_cond=1e3):
             return a
 
 
+def ill_conditioned(rng, cond):
+    """A random 3x3 matrix with singular values (1, 0.5, 1/cond)."""
+    q1, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    q2, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    return (q1 * (1.0, 0.5, 1.0 / cond)) @ q2.T
+
+
 class TestPolarDecompose:
     def test_identity(self):
         p, u = polar_decompose(np.eye(3))
@@ -76,6 +83,11 @@ class TestPolarDecompose:
         with pytest.raises(ValueError):
             polar_decompose(np.ones((2, 3)))
 
+    def test_empty_rejected(self):
+        for decide in (polar_decompose, FluxTensor.from_matrix, check_hypothesis):
+            with pytest.raises(ValueError, match="nonempty square"):
+                decide(np.zeros((0, 0)))
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, value):
         a = np.eye(3)
@@ -86,7 +98,7 @@ class TestPolarDecompose:
 
     @pytest.mark.parametrize("scale", [1e200, 1e-170])
     def test_extreme_scaled_identity(self, scale):
-        # a a^T of these overflows or underflows unless a is rescaled first
+        # the power-of-two prescale maps these exactly onto a unit-scale copy
         p, u = polar_decompose(scale * np.eye(3))
         np.testing.assert_array_equal(p, scale * np.eye(3))
         np.testing.assert_array_equal(u, np.eye(3))
@@ -228,9 +240,9 @@ class TestFluxTensor:
 
     @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-170])
     def test_pinv_spectrum_accurate_when_ill_conditioned(self, scale):
-        # singular values (1e-5, 2e-5, 1, ...): the square roots of the
-        # eigenvalues of a a^T would lose eps * cond^2 (about 1e-6 here);
-        # the eigenvalues of P keep lam_max and trace_pinv to eps * cond
+        # singular values (1e-5, 2e-5, 1, ...): the SVD of a keeps each to
+        # eps * cond relative (about 1e-11 here), so lam_max and trace_pinv
+        # hold well inside 1e-9; a route through a a^T would lose eps * cond^2
         rng = np.random.default_rng(31)
         for n in (3, 4, 5, 6):
             sv = np.ones(n)
@@ -241,6 +253,26 @@ class TestFluxTensor:
             assert flux.lam_min == pytest.approx(1.0 / scale, rel=1e-9)
             assert flux.lam_max == pytest.approx(1e5 / scale, rel=1e-9)
             assert flux.trace_pinv == pytest.approx(np.sum(1.0 / sv) / scale, rel=1e-9)
+
+    @pytest.mark.parametrize("cond", [1e8, 1e9, 1e10, 1e11, 5e11])
+    def test_ill_conditioned_inside_singular_gate(self, cond):
+        # the gate admits condition numbers up to 1/SINGULAR_RTOL; the factors
+        # stay accurate there, and lam_max = sigma_min^(-1) to eps * cond
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            a = ill_conditioned(rng, cond)
+            flux = FluxTensor.from_matrix(a)
+            assert np.linalg.norm(flux.p @ flux.u_orth - a) <= 1e-12 * np.linalg.norm(a)
+            assert np.linalg.norm(flux.u_orth.T @ flux.u_orth - np.eye(3)) <= 1e-12
+            assert flux.lam_min == pytest.approx(1.0, rel=1e-12)
+            assert flux.lam_max == pytest.approx(cond, rel=1e3 * eps * cond)
+
+    def test_beyond_singular_gate_rejected(self):
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            with pytest.raises(SingularMatrix):
+                FluxTensor.from_matrix(ill_conditioned(rng, 2e12))
 
     def test_kappa_scaling_invariance(self):
         rng = np.random.default_rng(29)
