@@ -33,9 +33,7 @@ from .functionals import (
     boundary_mass_fraction,
     gradv_sup_bound,
     interaction_integral,
-    interaction_integral_direct,
     lq_norm,
-    mass,
     moment_rhs_bound,
     moment_rhs_identity,
     second_moment,

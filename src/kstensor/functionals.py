@@ -27,7 +27,6 @@ from .potential import (
     PotentialField,
     _displacements,
     _pair_blocks,
-    solve_potential_direct,
     solve_potential_fast,
     unit_ball_volume,
 )
@@ -35,11 +34,6 @@ from .potential import (
 # analytic inequalities get a pure round-off allowance; chains that involve
 # the discretized interaction term carry a separate few-percent slack in tests
 ANALYTIC_SLACK = 1e-6
-
-
-def mass(u: DensityField) -> float:
-    """Total mass h^3 * sum(u)."""
-    return u.mass
 
 
 def weighted_moment(u: DensityField, b: np.ndarray) -> float:
@@ -89,11 +83,6 @@ def interaction_integral(u: DensityField, pot: PotentialField | None = None) -> 
     n = 3
     scale = n * (n - 2) * unit_ball_volume(n)
     return float(scale * u.grid.cell_volume * np.sum(u.values * pot.v))
-
-
-def interaction_integral_direct(u: DensityField) -> float:
-    """Direct-sum route for J (coarse grids), cross-check against the fast route."""
-    return interaction_integral(u, pot=solve_potential_direct(u))
 
 
 def interaction_symmetrized_direct(u: DensityField, u_orth: np.ndarray) -> float:

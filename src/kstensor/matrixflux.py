@@ -192,11 +192,6 @@ class FluxTensor:
     def p_inv(self) -> np.ndarray:
         return np.linalg.inv(self.p)
 
-    @property
-    def a_maxnorm(self) -> float:
-        """Maximum absolute entry of A."""
-        return float(np.max(np.abs(self.a)))
-
 
 def rotation_z(alpha: float) -> np.ndarray:
     """3x3 rotation by alpha about the z axis (the stock example matrix)."""

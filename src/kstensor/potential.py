@@ -168,9 +168,6 @@ class DensityField:
     def mass(self) -> float:
         return float(self.grid.cell_volume * self.values.sum())
 
-    def copy(self) -> "DensityField":
-        return DensityField(self.grid, self.values.copy())
-
 
 @dataclass
 class PotentialField:
@@ -457,6 +454,9 @@ def load_field(path: str) -> tuple[np.ndarray, Grid3, dict]:
                 continue
             key, val = line.split("=", 1)
             meta[key.strip()] = val.strip()
+    for key in ("n_cells", "half_width"):
+        if key not in meta:
+            raise ValueError(f"{path}.meta has no {key!r} entry")
     n = int(meta["n_cells"])
     grid = Grid3(n_cells=n, half_width=float(meta["half_width"]))
     values = np.fromfile(path, dtype="<f8")

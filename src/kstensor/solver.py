@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CflViolation, ConfigInvalid, SupportTooLarge
+from .errors import BadParameter, CflViolation, ConfigInvalid, SupportTooLarge
 from .functionals import (
     DiagnosticsRecord,
     boundary_mass_fraction,
@@ -127,7 +127,10 @@ class SimConfig:
             raise ConfigInvalid(f"snapshot times must lie in (0, t_end], got {outside}")
         if self.n_cells < FAST_MIN_CELLS:
             raise ConfigInvalid(f"n_cells must be >= {FAST_MIN_CELLS}, got {self.n_cells}")
-        Grid3(self.n_cells, self.half_width)  # raises on bad grid parameters
+        try:
+            Grid3(self.n_cells, self.half_width)
+        except ValueError as exc:
+            raise ConfigInvalid(str(exc)) from exc
 
     @property
     def grid(self) -> Grid3:
@@ -276,6 +279,8 @@ def step(u: DensityField, flux: FluxTensor, chi: float, dt: float) -> DensityFie
     """
     if dt <= 0.0:
         raise CflViolation(f"dt must be positive, got {dt}")
+    if flux.a.shape != (3, 3):
+        raise BadParameter(f"flux must be 3x3 for a grid step, got shape {flux.a.shape}")
     h = u.grid.h
     bfaces, _, rate = _drift(u, flux, chi)
     if dt * rate > h:
@@ -408,12 +413,18 @@ def write_outcome(outcome: SimOutcome, path: str) -> None:
 # flat key=value config files ('#' comments); unknown keys are rejected
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "matrix", "matrix_file", "chi", "n_cells", "half_width",
-    "init", "mass", "sigma", "center", "radius", "init_file", "epsilon",
-    "t_end", "cfl", "dt_max", "dt_min", "blowup_factor",
-    "diagnostics_every", "output_dir", "snapshot_times",
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+
+
+# the converter of each optional key; a key left out takes the dataclass default
+_INITIAL_KEYS = {"mass": float, "radius": float, "sigma": _floats, "center": _floats}
+_SIM_KEYS = {
+    **dict.fromkeys(_FLOAT_FIELDS, float), "n_cells": int, "diagnostics_every": int,
+    "output_dir": str, "snapshot_times": _floats,
 }
+_CONFIG_KEYS = {"matrix", "matrix_file", "init", "init_file", *_INITIAL_KEYS, *_SIM_KEYS}
+_REQUIRED_KEYS = ("init", "chi", "n_cells", "half_width", "t_end")
 
 
 def parse_config(text: str, base_dir: str = ".") -> SimConfig:
@@ -430,14 +441,6 @@ def parse_config(text: str, base_dir: str = ".") -> SimConfig:
             raise ConfigInvalid(f"line {lineno}: unknown key {key!r}")
         kv[key] = val.strip()
 
-    def need(key: str) -> str:
-        if key not in kv:
-            raise ConfigInvalid(f"missing required key {key!r}")
-        return kv[key]
-
-    def floats(key: str) -> tuple[float, ...]:
-        return tuple(float(tok) for tok in kv[key].split(",") if tok.strip())
-
     try:
         if "matrix" in kv:
             matrix = parse_matrix_inline(kv["matrix"])
@@ -445,46 +448,21 @@ def parse_config(text: str, base_dir: str = ".") -> SimConfig:
             matrix = load_matrix(os.path.join(base_dir, kv["matrix_file"]))
         else:
             raise ConfigInvalid("config needs 'matrix' or 'matrix_file'")
-        kind = need("init")
-        sigma: tuple[float, float, float] = (1.0, 1.0, 1.0)
-        if "sigma" in kv:
-            s = floats("sigma")
-            if len(s) == 1:
-                sigma = (s[0], s[0], s[0])
-            elif len(s) == 3:
-                sigma = (s[0], s[1], s[2])
-            else:
+        for key in _REQUIRED_KEYS:
+            if key not in kv:
+                raise ConfigInvalid(f"missing required key {key!r}")
+        ini = {key: conv(kv[key]) for key, conv in _INITIAL_KEYS.items() if key in kv}
+        if "sigma" in ini:
+            if len(ini["sigma"]) == 1:
+                ini["sigma"] *= 3
+            elif len(ini["sigma"]) != 3:
                 raise ConfigInvalid("sigma must have 1 or 3 components")
-        center: tuple[float, float, float] = (0.0, 0.0, 0.0)
-        if "center" in kv:
-            c = floats("center")
-            if len(c) != 3:
-                raise ConfigInvalid("center must have 3 components")
-            center = (c[0], c[1], c[2])
-        initial = InitialData(
-            kind=kind,
-            mass=float(kv.get("mass", "1.0")),
-            sigma=sigma,
-            center=center,
-            radius=float(kv.get("radius", "1.0")),
-            path=os.path.join(base_dir, kv["init_file"]) if "init_file" in kv else None,
-        )
-        config = SimConfig(
-            matrix=matrix,
-            chi=float(need("chi")),
-            n_cells=int(need("n_cells")),
-            half_width=float(need("half_width")),
-            initial=initial,
-            t_end=float(need("t_end")),
-            epsilon=float(kv["epsilon"]) if "epsilon" in kv else None,
-            cfl=float(kv.get("cfl", "0.4")),
-            dt_max=float(kv.get("dt_max", "1e-2")),
-            dt_min=float(kv.get("dt_min", "1e-8")),
-            blowup_factor=float(kv.get("blowup_factor", "1e3")),
-            diagnostics_every=int(kv.get("diagnostics_every", "10")),
-            output_dir=kv.get("output_dir"),
-            snapshot_times=floats("snapshot_times") if "snapshot_times" in kv else (),
-        )
+        if "center" in ini and len(ini["center"]) != 3:
+            raise ConfigInvalid("center must have 3 components")
+        if "init_file" in kv:
+            ini["path"] = os.path.join(base_dir, kv["init_file"])
+        fields = {key: conv(kv[key]) for key, conv in _SIM_KEYS.items() if key in kv}
+        config = SimConfig(matrix=matrix, initial=InitialData(kind=kv["init"], **ini), **fields)
     except (ValueError, KeyError, OSError) as exc:  # OSError: an unreadable matrix_file
         raise ConfigInvalid(str(exc)) from exc
     config.validate()

@@ -223,6 +223,16 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", str(tmp_path / "nope.cfg"))
         assert code == 1
 
+    def test_snapshot_meta_without_n_cells_exit_one(self, capsys, tmp_path):
+        snap = tmp_path / "u0.bin"
+        np.zeros(32**3).tofile(snap)
+        (tmp_path / "u0.bin.meta").write_text("half_width=10.0\ntime=0.0\nfield=u\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CFG.replace("init = gaussian", "init = file\ninit_file = u0.bin"))
+        code, _, err = run_cli(capsys, "simulate", str(cfg))
+        assert code == 1
+        assert err.startswith("error:") and "n_cells" in err
+
 
 class TestVerify:
     def test_potential_oracle_suite(self, capsys):

@@ -222,7 +222,6 @@ class TestFluxTensor:
         assert abs(flux.lam_max - 2.0) < 1e-12
         assert abs(flux.trace_pinv - 3.5) < 1e-12
         assert flux.trace_pinv >= flux.n * flux.lam_min
-        assert abs(flux.a_maxnorm - 2.0) < 1e-15
 
     def test_invariants_random(self):
         rng = np.random.default_rng(23)

@@ -1,11 +1,12 @@
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kstensor import solver as sv
-from kstensor.errors import CflViolation, ConfigInvalid, SupportTooLarge
+from kstensor.errors import BadParameter, CflViolation, ConfigInvalid, SupportTooLarge
 from kstensor.functionals import second_moment
 from kstensor.matrixflux import FluxTensor
 from kstensor.potential import DensityField, Grid3, gaussian_values, load_field, save_field
@@ -176,6 +177,11 @@ class TestStep:
         with pytest.raises(CflViolation):
             step(u, IDENTITY, chi=1.0, dt=0.0)
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_rejects_flux_not_3x3(self, n):
+        u = unit_gaussian(Grid3(32, 6.0))
+        with pytest.raises(BadParameter, match="3x3"):
+            step(u, FluxTensor.from_matrix(np.eye(n)), chi=1.0, dt=0.001)
 
     @pytest.mark.parametrize("chi", [0.0, 5.0])
     def test_step_is_one_step_of_run(self, tmp_path, chi):
@@ -401,6 +407,24 @@ diagnostics_every = 5
         assert cfg.initial.kind == "gaussian"
         assert cfg.initial.sigma == (1.0, 1.0, 1.0)
 
+    def test_omitted_keys_take_dataclass_defaults(self):
+        cfg = parse_config(
+            "matrix = 1,0,0,0,1,0,0,0,1\ninit = ball\nchi = 2\nn_cells = 32\nhalf_width = 5\nt_end = 1"
+        )
+        want = SimConfig(
+            matrix=np.eye(3), chi=2.0, n_cells=32, half_width=5.0,
+            initial=InitialData(kind="ball"), t_end=1.0,
+        )
+        for name in (f.name for f in fields(SimConfig)):
+            got, expected = getattr(cfg, name), getattr(want, name)
+            if name == "matrix":
+                np.testing.assert_array_equal(got, expected)
+            else:
+                assert got == expected and type(got) is type(expected), name
+        for name in (f.name for f in fields(InitialData)):
+            got, expected = getattr(cfg.initial, name), getattr(want.initial, name)
+            assert got == expected and type(got) is type(expected), name
+
     def test_rejects_unknown_key(self):
         with pytest.raises(ConfigInvalid, match="unknown key"):
             parse_config(self.GOOD + "\nbogus = 1\n")
@@ -459,9 +483,14 @@ diagnostics_every = 5
         with pytest.raises(ConfigInvalid, match="init_file"):
             parse_config(self.GOOD.replace("init = gaussian", "init = file"))
 
-    def test_rejects_grid_below_solver_minimum(self):
-        with pytest.raises(ConfigInvalid, match="n_cells"):
-            small_config(n_cells=8).validate()
+    @pytest.mark.parametrize(
+        "n_cells, half_width, name",
+        [(8, 10.0, "n_cells"), (24, 10.0, "n_cells"), (32, 0.0, "half_width"),
+         (32, -1.0, "half_width")],
+    )
+    def test_rejects_grid_below_solver_minimum(self, n_cells, half_width, name):
+        with pytest.raises(ConfigInvalid, match=name):
+            small_config(n_cells=n_cells, half_width=half_width).validate()
 
     def test_matrix_file_reference(self, tmp_path):
         mfile = tmp_path / "mat.txt"

@@ -266,7 +266,7 @@ class TestDichotomyCompatibility:
         # small-moment (blow-up) region has L^{3/2} norm above delta
         c_n, _ = th.calibrate_cn()
         chi = 1.0
-        delta = th.global_delta(4, 3, chi, IDENTITY.a_maxnorm)
+        delta = th.global_delta(4, 3, chi, float(np.abs(IDENTITY.a).max()))
         c_bl = th.blowup_constant(IDENTITY, chi, 3)
         for mass in (0.5, 1.0, 2.0):
             # most concentrated admissible Gaussian: m0 at the threshold
