@@ -19,8 +19,9 @@ local Euler-Maclaurin defect correction (the kernel is harmonic away from
 the origin, so the O(h^2) quadrature defect of the midpoint rule collapses
 to terms proportional to u and grad u at the target point).
 
-The gradient of v is convolved with grad K directly rather than obtained by
-differencing v, keeping the advection velocity free of compounded error.
+For diagnostics records the gradient of v is convolved with grad K directly
+rather than obtained by differencing v, free of compounded error; the time
+stepper's drift differences v at the cell faces, from one inverse transform.
 Analytic kernel evaluation supports general dimension n >= 3; gridded
 fields are three-dimensional only.
 """
@@ -299,8 +300,8 @@ def _grad_centered(u: np.ndarray, h: float) -> list[np.ndarray]:
     return out
 
 
-def _solve_fast(u: DensityField, with_potential: bool):
-    """Shared core of the FFT solvers: (v or None, [gx, gy, gz])."""
+def _solve_fast(u: DensityField, with_potential: bool = True, with_gradient: bool = True):
+    """Shared core of the FFT solvers: (v or None, [gx, gy, gz] or [])."""
     grid = u.grid
     n, h = grid.n_cells, grid.h
     if n < FAST_MIN_CELLS:
@@ -323,7 +324,8 @@ def _solve_fast(u: DensityField, with_potential: bool):
         v = (_V_CORRECTION * h * h) * u.values
         v += convolve(tab.k_hat, h * h)
     grads = []
-    for g_hat, dui in zip(tab.g_hat, _grad_centered(u.values, h)):
+    du = _grad_centered(u.values, h) if with_gradient else []
+    for g_hat, dui in zip(tab.g_hat, du):
         g = (_G_CORRECTION * h * h) * dui
         g += convolve(g_hat, 1j * h)
         grads.append(g)
@@ -332,12 +334,17 @@ def _solve_fast(u: DensityField, with_potential: bool):
 
 def solve_potential_fast(u: DensityField) -> PotentialField:
     """Free-space potential and gradient by zero-padded FFT convolution."""
-    v, (gx, gy, gz) = _solve_fast(u, with_potential=True)
+    v, (gx, gy, gz) = _solve_fast(u)
     return PotentialField(u.grid, v, gx, gy, gz)
 
 
+def solve_potential_v(u: DensityField) -> np.ndarray:
+    """Potential-only fast solve for the drift, bitwise equal to `solve_potential_fast(u).v`."""
+    return _solve_fast(u, with_gradient=False)[0]
+
+
 def solve_potential_gradient(u: DensityField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradient-only fast solve (skips the potential transform); solver hot path.
+    """Gradient-only fast solve (skips the potential transform).
 
     Bitwise equal to the gradient of `solve_potential_fast`.
     """

@@ -2,11 +2,12 @@
 
 Each step splits the dynamics:
 
-1. solve the free-space potential of the current density and form the drift
-   velocity b = chi * A grad(v) (a step right after a diagnostics record
-   reuses that record's potential, so each step costs one solve);
-2. conservative first-order upwind advection of u by b (flux form, face
-   velocities averaged from the adjacent cells, closed box walls);
+1. solve the free-space potential v of the current density (a step right
+   after a diagnostics record reuses that record's potential, so each step
+   costs one solve) and difference it into the drift b = chi * A grad(v) on
+   the cell faces;
+2. conservative first-order upwind advection of u by b (flux form, closed
+   box walls);
 3. diffusion over dt by the explicit 7-point stencil with reflecting walls.
    A step with nu = dt/h^2 above 1/6 is split into ceil(6 nu) equal
    sub-steps, so every application keeps nu <= 1/6: each one is exactly
@@ -25,7 +26,8 @@ from __future__ import annotations
 import logging
 import math
 import os
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,13 +44,13 @@ from .potential import (
     FAST_MIN_CELLS,
     DensityField,
     Grid3,
-    PotentialField,
+    _grad_centered,
     ball_values,
     gaussian_values,
     load_field,
     save_field,
     solve_potential_fast,
-    solve_potential_gradient,
+    solve_potential_v,
 )
 
 logger = logging.getLogger(__name__)
@@ -151,6 +153,9 @@ class SimOutcome:
     message: str = ""
     # time of the first record whose moments are not trusted (moments_valid)
     moments_invalid_t: float | None = None
+    # steps whose dt each limit set (dt_max, b_l1, rate, land), wall s per phase
+    dt_limits: dict[str, int] = field(default_factory=dict)
+    phase_s: dict[str, float] = field(default_factory=dict)
 
 
 def make_initial_data(
@@ -197,25 +202,32 @@ def make_initial_data(
 
 
 def _drift(
-    u: DensityField, flux: FluxTensor, chi: float, pot: PotentialField | None = None
+    v: np.ndarray | None, flux: FluxTensor, chi: float, h: float
 ) -> tuple[list[np.ndarray] | None, float, float]:
     """Face velocities of b = chi A grad(v), the largest |b|_1, and the outflow rate.
 
-    grad(v) comes from ``pot`` when given (a record's solve), else from a
-    gradient solve. With chi = 0 there is no drift: no faces, both rates 0.
+    On a face normal to axis ax, D_ax v is the compact difference across it
+    and each other D_o v the mean of the two cells' centred differences
+    (Chertock & Kurganov, Numer. Math. 111, 2008). A cell's speed on an axis
+    is the mean of its two faces, a wall face being 0. With chi = 0 there is
+    no drift (v may be None): no faces, both rates 0.
     """
     if chi == 0.0:
         return None, 0.0, 0.0
-    if pot is None:
-        gx, gy, gz = solve_potential_gradient(u)
-    else:
-        gx, gy, gz = pot.gx, pot.gy, pot.gz
-    a = flux.a
-    b = [chi * (a[i, 0] * gx + a[i, 1] * gy + a[i, 2] * gz) for i in range(3)]
-    b_l1 = float((np.abs(b[0]) + np.abs(b[1]) + np.abs(b[2])).max())
-    moved = [np.moveaxis(b[ax], ax, 0) for ax in range(3)]
-    bfaces = [0.5 * (bm[1:] + bm[:-1]) for bm in moved]
-    return bfaces, b_l1, _outflow_rate(bfaces, u.values.shape)
+    a, grad = flux.a, _grad_centered(v, h)
+    bfaces, speed = [], np.zeros_like(v)  # speed: twice the summed |cell speed|
+    for ax in range(3):
+        vm, sm = np.moveaxis(v, ax, 0), np.moveaxis(speed, ax, 0)
+        bf = (chi * a[ax, ax] / h) * (vm[1:] - vm[:-1])
+        for o in np.flatnonzero(a[ax]):  # zero entries of A are skipped
+            if o != ax:
+                gm = np.moveaxis(grad[o], ax, 0)
+                bf += (0.5 * chi * a[ax, o]) * (gm[1:] + gm[:-1])
+        sm[1:-1] += np.abs(bf[1:] + bf[:-1])
+        sm[0] += np.abs(bf[0])
+        sm[-1] += np.abs(bf[-1])
+        bfaces.append(bf)
+    return bfaces, 0.5 * float(speed.max()), _outflow_rate(bfaces, v.shape)
 
 
 def _outflow_rate(bfaces: list[np.ndarray], shape: tuple[int, ...]) -> float:
@@ -282,7 +294,7 @@ def step(u: DensityField, flux: FluxTensor, chi: float, dt: float) -> DensityFie
     if flux.a.shape != (3, 3):
         raise BadParameter(f"flux must be 3x3 for a grid step, got shape {flux.a.shape}")
     h = u.grid.h
-    bfaces, _, rate = _drift(u, flux, chi)
+    bfaces, _, rate = _drift(None if chi == 0.0 else solve_potential_v(u), flux, chi, h)
     if dt * rate > h:
         raise CflViolation(
             f"dt = {dt:.3e} exceeds the advective limit {h / rate:.3e} (cfl 1.0)"
@@ -309,31 +321,44 @@ def run(config: SimConfig) -> SimOutcome:
     status = "CompletedToTEnd"
     message = ""
     min_density = float(u.values.min())
+    dt_limits = dict.fromkeys(("dt_max", "b_l1", "rate", "land"), 0)
+    phase_s = dict.fromkeys(("potential", "drift", "advance", "record", "output"), 0.0)
+    lap_start = time.perf_counter()
 
-    def _record(state: DensityField, at: float) -> PotentialField:
+    def _lap(phase: str) -> None:  # charge the time since the last lap to phase
+        nonlocal lap_start
+        now = time.perf_counter()
+        phase_s[phase] += now - lap_start
+        lap_start = now
+
+    def _record(state: DensityField, at: float) -> np.ndarray:
         pot = solve_potential_fast(state)
         records.append(compute_record(state, flux, config.chi, at, pot=pot))
-        return pot
-
-    def _snapshot(state: DensityField, at: float) -> None:
-        if config.output_dir:
-            path = os.path.join(config.output_dir, f"u_t{at:.6f}.bin")
-            save_field(state.values, grid, path, "u", at)
+        _lap("record")
+        return pot.v
 
     if config.output_dir:
         os.makedirs(config.output_dir, exist_ok=True)
     # the potential of the state last recorded; the next drift reuses it
-    pot = _record(u, t)
+    v = _record(u, t)
     logger.info(
         "run start: %d^3 grid, h=%.4g, chi=%.6g, sup0=%.6g, mass=%.12g",
         grid.n_cells, h, config.chi, sup0, u.mass,
     )
 
     while t < config.t_end:
-        bfaces, b_l1, rate = _drift(u, flux, config.chi, pot)
-        dt = config.dt_max if b_l1 == 0.0 else min(config.dt_max, config.cfl * h / b_l1)
-        if rate > 0.0:
-            dt = min(dt, config.cfl * h / rate)
+        if v is None and config.chi != 0.0:
+            v = solve_potential_v(u)
+        _lap("potential")
+        bfaces, b_l1, rate = _drift(v, flux, config.chi, h)
+        _lap("drift")
+        # a zero speed sets no limit; of equal limits the first is counted
+        limits = {"dt_max": config.dt_max}
+        for name, speed in (("b_l1", b_l1), ("rate", rate)):
+            if speed > 0.0:
+                limits[name] = config.cfl * h / speed
+        limit = min(limits, key=limits.get)
+        dt = limits[limit]
         if dt < config.dt_min:
             status = "NumericalBlowup"
             message = f"time step collapsed below dt_min ({dt:.3e} < {config.dt_min:.3e})"
@@ -343,7 +368,7 @@ def run(config: SimConfig) -> SimOutcome:
         remaining = stop - t
         land = dt >= remaining - _T_END_SNAP * config.t_end
         if land:
-            dt = remaining
+            dt, limit = remaining, "land"
 
         vals = _advance(u.values, bfaces, grid, dt)
         if not np.all(np.isfinite(vals)):
@@ -352,16 +377,21 @@ def run(config: SimConfig) -> SimOutcome:
             logger.error("aborting at t=%.6g: %s", t, message)
             break
         u = DensityField(grid, vals)
-        pot = None
+        v = None
         min_density = min(min_density, float(vals.min()))
         t = stop if land else t + dt
         steps += 1
+        dt_limits[limit] += 1
+        _lap("advance")
 
         while pending_snapshots and t >= pending_snapshots[0]:
-            _snapshot(u, t)
+            if config.output_dir:
+                path = os.path.join(config.output_dir, f"u_t{t:.6f}.bin")
+                save_field(u.values, grid, path, "u", t)
             pending_snapshots.pop(0)
+        _lap("output")
         if steps % config.diagnostics_every == 0:
-            pot = _record(u, t)
+            v = _record(u, t)
         sup = float(u.values.max())
         if sup >= config.blowup_factor * sup0:
             status = "NumericalBlowup"
@@ -385,13 +415,16 @@ def run(config: SimConfig) -> SimOutcome:
         min_density=min_density,
         message=message,
         moments_invalid_t=next((r.t for r in records if not r.moments_valid), None),
+        dt_limits=dt_limits,
+        phase_s=phase_s,
     )
     logger.info(
-        "run end: %s at t=%.6g after %d steps (growth %.1fx, dt %.3e)",
-        status, t, steps, growth, dt,
+        "run end: %s at t=%.6g after %d steps (growth %.1fx, dt %.3e; dt limits %s)",
+        status, t, steps, growth, dt, " ".join(f"{k}={c}" for k, c in dt_limits.items()),
     )
     if config.output_dir:
         write_csv(records, os.path.join(config.output_dir, "diagnostics.csv"))
+        _lap("output")
         write_outcome(outcome, os.path.join(config.output_dir, "outcome.txt"))
     return outcome
 
@@ -407,6 +440,8 @@ def write_outcome(outcome: SimOutcome, path: str) -> None:
             fh.write(f"message={outcome.message}\n")
         if outcome.moments_invalid_t is not None:
             fh.write(f"moments_invalid_t={outcome.moments_invalid_t:.12e}\n")
+        fh.writelines(f"dt_limit_{key}={count}\n" for key, count in outcome.dt_limits.items())
+        fh.writelines(f"phase_{key}_s={secs:.6f}\n" for key, secs in outcome.phase_s.items())
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from kstensor.potential import (
     solve_potential_direct,
     solve_potential_fast,
     solve_potential_gradient,
+    solve_potential_v,
 )
 
 
@@ -137,6 +138,12 @@ class TestOracleEquivalence:
         gx, gy, gz = solve_potential_gradient(u)
         np.testing.assert_array_equal(gx, pot.gx)
         np.testing.assert_array_equal(gz, pot.gz)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_potential_only_path_matches(self, n):
+        grid = Grid3(n, 2.0)
+        u = gaussian_field(grid, sigma=0.4, center=(0.3, -0.2, 0.1))
+        np.testing.assert_array_equal(solve_potential_v(u), solve_potential_fast(u).v)
 
 
 class TestDirectBlocks:

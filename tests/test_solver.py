@@ -4,11 +4,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from kstensor import solver as sv
 from kstensor.errors import BadParameter, CflViolation, ConfigInvalid, SupportTooLarge
 from kstensor.functionals import second_moment
-from kstensor.matrixflux import FluxTensor
+from kstensor.matrixflux import FluxTensor, rotation_z
 from kstensor.potential import DensityField, Grid3, gaussian_values, load_field, save_field
 from kstensor.solver import (
     InitialData,
@@ -201,9 +202,49 @@ class TestStep:
         def no_solve(u):
             raise AssertionError("drift solved with chi = 0")
 
-        monkeypatch.setattr(sv, "solve_potential_gradient", no_solve)
+        monkeypatch.setattr(sv, "solve_potential_v", no_solve)
         u = unit_gaussian(Grid3(32, 10.0))
         assert step(u, IDENTITY, chi=0.0, dt=0.01).mass == pytest.approx(u.mass, rel=1e-14)
+
+
+def gaussian_grad_exact(x, y, z, mass=1.0, sigma=1.0):
+    """grad of the closed-form potential M erf(r/(sqrt(2) sigma)) / (4 pi r)."""
+    r = np.sqrt(x * x + y * y + z * z)
+    menc = mass * (
+        erf(r / (math.sqrt(2) * sigma))
+        - math.sqrt(2 / math.pi) * (r / sigma) * np.exp(-(r**2) / (2 * sigma**2))
+    )
+    g = -menc / (4 * math.pi * r**3)
+    return g * x, g * y, g * z
+
+
+class TestFaceDrift:
+    @pytest.mark.parametrize(
+        "matrix",
+        [rotation_z(math.pi / 4), [[1.0, 0.3, -0.2], [0.1, 0.8, 0.25], [-0.15, 0.2, 1.2]]],
+        ids=["rotation", "full"],
+    )
+    def test_face_speeds_converge_to_closed_form(self, matrix):
+        # chi A grad(v) at the face centres; the error falls at second order
+        flux = FluxTensor.from_matrix(np.array(matrix))
+        chi = 2.0
+        errs = {}
+        for n in (32, 64):
+            grid = Grid3(n, 8.0)
+            v = sv.solve_potential_v(unit_gaussian(grid))
+            bfaces, _, _ = sv._drift(v, flux, chi, grid.h)
+            c = grid.axis_centers()
+            err = top = 0.0
+            for ax in range(3):
+                axes = [c, c, c]
+                axes[ax] = c[:-1] + 0.5 * grid.h
+                g = gaussian_grad_exact(*np.meshgrid(*axes, indexing="ij"))
+                exact = np.moveaxis(chi * sum(flux.a[ax, o] * g[o] for o in range(3)), ax, 0)
+                err = max(err, float(np.abs(bfaces[ax] - exact).max()))
+                top = max(top, float(np.abs(exact).max()))
+            errs[n] = err / top
+        assert errs[64] <= 2e-2
+        assert errs[32] / errs[64] >= 3.0
 
 
 class TestRun:
@@ -304,6 +345,39 @@ class TestRun:
         data = np.genfromtxt(str(outdir / "diagnostics.csv"), delimiter=",", names=True)
         assert data["t"].shape[0] == len(out.records)
 
+    def test_dt_limits_when_dt_max_binds(self, tmp_path):
+        # chi = 0: every step is dt_max, but for the two that land on the
+        # snapshot time and on t_end
+        out = run(small_config(t_end=0.2, snapshot_times=(0.1,), output_dir=str(tmp_path)))
+        assert sum(out.dt_limits.values()) == out.steps
+        assert out.dt_limits == {"dt_max": out.steps - 2, "b_l1": 0, "rate": 0, "land": 2}
+        text = (tmp_path / "outcome.txt").read_text()
+        assert f"dt_limit_dt_max={out.steps - 2}\n" in text
+        assert "dt_limit_land=2\n" in text
+
+    def test_dt_limits_when_cfl_binds(self):
+        cfg = small_config(
+            chi=200.0,
+            half_width=6.0,
+            t_end=0.05,
+            dt_max=1.0,
+            initial=InitialData(kind="gaussian", mass=1.0, sigma=(0.5,) * 3),
+        )
+        out = run(cfg)
+        assert out.status == "CompletedToTEnd"
+        assert sum(out.dt_limits.values()) == out.steps
+        assert out.dt_limits["dt_max"] == 0
+        assert out.dt_limits["b_l1"] + out.dt_limits["rate"] >= out.steps - 1 >= 1
+
+    def test_phase_times_reported(self, tmp_path):
+        out = run(small_config(chi=5.0, t_end=0.1, snapshot_times=(0.05,), output_dir=str(tmp_path)))
+        phases = ("potential", "drift", "advance", "record", "output")
+        assert tuple(out.phase_s) == phases
+        assert all(out.phase_s[p] > 0.0 for p in phases)
+        text = (tmp_path / "outcome.txt").read_text()
+        for p in phases:
+            assert f"phase_{p}_s=" in text
+
     def test_first_untrusted_record_time_reported(self, tmp_path):
         # sigma = 0.5 on a 16^3 box of half width 4: diffusion carries mass
         # into the 2-cell shell, past BOUNDARY_VALID_LIMIT after a few records
@@ -333,7 +407,7 @@ class TestRun:
     def test_record_potential_feeds_next_drift(self, monkeypatch):
         # a record's full solve also drives the next step, so every step
         # costs one solve and the trajectory does not depend on the cadence
-        calls = {"solve_potential_fast": 0, "solve_potential_gradient": 0}
+        calls = {"solve_potential_fast": 0, "solve_potential_v": 0}
 
         def counted(name):
             fn = getattr(sv, name)
