@@ -36,11 +36,20 @@ from .potential import (
 ANALYTIC_SLACK = 1e-6
 
 
+def _require_finite(**values: float) -> None:
+    """BadParameter naming the first of `values` that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise BadParameter(f"{name} must be finite, got {value}")
+
+
 def weighted_moment(u: DensityField, b: np.ndarray) -> float:
     """Integral of u(x) (x . B x) for a symmetric positive-definite B."""
     b = np.asarray(b, dtype=float)
-    if b.shape != (3, 3) or np.linalg.norm(b - b.T) > 1e-12 * max(np.linalg.norm(b), 1.0):
-        raise NotSPD("weight matrix must be symmetric 3x3")
+    if b.shape != (3, 3) or not np.isfinite(b).all() or (
+        np.linalg.norm(b - b.T) > 1e-12 * max(np.linalg.norm(b), 1.0)
+    ):
+        raise NotSPD("weight matrix must be finite and symmetric 3x3")
     eigs = np.linalg.eigvalsh(0.5 * (b + b.T))
     if eigs[0] <= 0.0:
         raise NotSPD(f"weight matrix must be positive definite (min eig {eigs[0]:.3e})")
@@ -59,8 +68,8 @@ def second_moment(u: DensityField) -> float:
 
 def lq_norm(u: DensityField, q: float) -> float:
     """Lebesgue norm (h^3 sum u^q)^(1/q) for q >= 1."""
-    if q < 1.0:
-        raise BadParameter(f"q must be >= 1, got {q}")
+    if not 1.0 <= q < math.inf:
+        raise BadParameter(f"q must be finite and >= 1, got {q}")
     return float((u.grid.cell_volume * np.sum(u.values**q)) ** (1.0 / q))
 
 
@@ -174,10 +183,10 @@ def moment_rhs_bound(w: float, m_tot: float, flux: FluxTensor, chi: float, n: in
     2 Tr(P^(-1)) M - 2^(1-n/2) chi kappa M^(n/2+1) / (n omega_n)
                       * lambda_min^(n/2-1) * w^(1-n/2).
     """
-    if w <= 0.0:
-        raise NonPositiveMoment(f"weighted moment must be positive, got {w}")
-    if m_tot <= 0.0:
-        raise NonPositiveMoment(f"mass must be positive, got {m_tot}")
+    if not 0.0 < w < math.inf:
+        raise NonPositiveMoment(f"weighted moment must be positive and finite, got {w}")
+    if not 0.0 < m_tot < math.inf:
+        raise NonPositiveMoment(f"mass must be positive and finite, got {m_tot}")
     aggregation = aggregation_coefficient(flux, chi, n) * m_tot ** (n / 2.0 + 1.0)
     return 2.0 * flux.trace_pinv * m_tot - aggregation * w ** (1.0 - n / 2.0)
 
@@ -197,8 +206,8 @@ def gradv_sup_bound(
     omega_n = unit_ball_volume(n)
     if gamma is None:
         gamma = ((n - 1.0) * m_tot / (n * omega_n * linf)) ** (1.0 / n)
-    elif gamma <= 0.0:
-        raise BadParameter(f"gamma must be positive, got {gamma}")
+    elif not 0.0 < gamma < math.inf:
+        raise BadParameter(f"gamma must be positive and finite, got {gamma}")
     bound = gamma * linf + gamma ** (1.0 - n) * m_tot / (n * omega_n)
     return float(bound), float(gamma)
 

@@ -17,7 +17,7 @@ Both paths share the same discretization: midpoint kernel samples, the
 singular self-cell replaced by the analytic mean of K over one cell, and a
 local Euler-Maclaurin defect correction (the kernel is harmonic away from
 the origin, so the O(h^2) quadrature defect of the midpoint rule collapses
-to terms proportional to u and grad u at the target point).
+to terms in u and, per gradient axis, the centred difference of u there).
 
 For diagnostics records the gradient of v is convolved with grad K directly
 rather than obtained by differencing v, free of compounded error; the time
@@ -100,8 +100,8 @@ class Grid3:
         n = self.n_cells
         if n < 2 or (n & (n - 1)) != 0:
             raise ValueError(f"n_cells must be a power of two >= 2, got {n}")
-        if not (self.half_width > 0.0):
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
+        if not 0.0 < self.half_width < math.inf:
+            raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
 
     @property
     def h(self) -> float:
@@ -286,22 +286,18 @@ def _crop_irfftn(spec: np.ndarray, n: int, scale: complex) -> np.ndarray:
     return sfft.irfft(out, n=m, axis=2, workers=_FFT_WORKERS)[:, :, :n]
 
 
-def _grad_centered(u: np.ndarray, h: float) -> list[np.ndarray]:
-    """Central differences, one-sided at the box faces."""
-    out = []
-    for ax in range(3):
-        d = np.empty_like(u)
-        ua = np.moveaxis(u, ax, 0)
-        da = np.moveaxis(d, ax, 0)
-        da[1:-1] = (ua[2:] - ua[:-2]) / (2.0 * h)
-        da[0] = (ua[1] - ua[0]) / h
-        da[-1] = (ua[-1] - ua[-2]) / h
-        out.append(d)
-    return out
+def _centered(u: np.ndarray, ax: int, h: float) -> np.ndarray:
+    """Central difference along axis ax, one-sided at the box faces."""
+    d = np.empty_like(u)
+    ua, da = np.moveaxis(u, ax, 0), np.moveaxis(d, ax, 0)
+    da[1:-1] = (ua[2:] - ua[:-2]) / (2.0 * h)
+    da[0] = (ua[1] - ua[0]) / h
+    da[-1] = (ua[-1] - ua[-2]) / h
+    return d
 
 
-def _solve_fast(u: DensityField, with_potential: bool = True, with_gradient: bool = True):
-    """Shared core of the FFT solvers: (v or None, [gx, gy, gz] or [])."""
+def _solve_fast(u: DensityField, with_gradient: bool = True):
+    """Shared core of the FFT solvers: (v, [gx, gy, gz] or [])."""
     grid = u.grid
     n, h = grid.n_cells, grid.h
     if n < FAST_MIN_CELLS:
@@ -319,14 +315,11 @@ def _solve_fast(u: DensityField, with_potential: bool = True, with_gradient: boo
 
     # cell volume h^3 times the unit tables' 1/h (K) and i/h^2 (grad K); the
     # defect correction is the left operand, so the results are contiguous
-    v = None
-    if with_potential:
-        v = (_V_CORRECTION * h * h) * u.values
-        v += convolve(tab.k_hat, h * h)
+    v = (_V_CORRECTION * h * h) * u.values
+    v += convolve(tab.k_hat, h * h)
     grads = []
-    du = _grad_centered(u.values, h) if with_gradient else []
-    for g_hat, dui in zip(tab.g_hat, du):
-        g = (_G_CORRECTION * h * h) * dui
+    for ax, g_hat in enumerate(tab.g_hat if with_gradient else []):
+        g = (_G_CORRECTION * h * h) * _centered(u.values, ax, h)
         g += convolve(g_hat, 1j * h)
         grads.append(g)
     return v, grads
@@ -344,12 +337,9 @@ def solve_potential_v(u: DensityField) -> np.ndarray:
 
 
 def solve_potential_gradient(u: DensityField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradient-only fast solve (skips the potential transform).
-
-    Bitwise equal to the gradient of `solve_potential_fast`.
-    """
-    _, (gx, gy, gz) = _solve_fast(u, with_potential=False)
-    return gx, gy, gz
+    """The gradient of `solve_potential_fast(u)`."""
+    pot = solve_potential_fast(u)
+    return pot.gx, pot.gy, pot.gz
 
 
 def _displacements(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -427,9 +417,8 @@ def solve_potential_direct(u: DensityField) -> PotentialField:
     scale = grid.cell_volume
     shape = u.values.shape
     vv = sums[:, 0].reshape(shape) * scale + (_V_CORRECTION * h * h) * u.values
-    du = _grad_centered(u.values, h)
     gg = [
-        sums[:, c + 1].reshape(shape) * scale + (_G_CORRECTION * h * h) * du[c]
+        sums[:, c + 1].reshape(shape) * scale + (_G_CORRECTION * h * h) * _centered(u.values, c, h)
         for c in range(3)
     ]
     return PotentialField(grid, vv, gg[0], gg[1], gg[2])

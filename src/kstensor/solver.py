@@ -34,6 +34,7 @@ import numpy as np
 from .errors import BadParameter, CflViolation, ConfigInvalid, SupportTooLarge
 from .functionals import (
     DiagnosticsRecord,
+    _require_finite,
     boundary_mass_fraction,
     compute_record,
     fill_dwdt_measured,
@@ -44,7 +45,7 @@ from .potential import (
     FAST_MIN_CELLS,
     DensityField,
     Grid3,
-    _grad_centered,
+    _centered,
     ball_values,
     gaussian_values,
     load_field,
@@ -214,7 +215,7 @@ def _drift(
     """
     if chi == 0.0:
         return None, 0.0, 0.0
-    a, grad = flux.a, _grad_centered(v, h)
+    a, grad = flux.a, [_centered(v, o, h) for o in range(3)]
     bfaces, speed = [], np.zeros_like(v)  # speed: twice the summed |cell speed|
     for ax in range(3):
         vm, sm = np.moveaxis(v, ax, 0), np.moveaxis(speed, ax, 0)
@@ -256,12 +257,10 @@ def _diffuse(values: np.ndarray, grid: Grid3, dt: float) -> np.ndarray:
     """Heat flow over dt by explicit 7-point sub-steps, each with nu <= 1/6."""
     h = grid.h
     nu = dt / (h * h)
-    substeps = 1
-    if nu > 1.0 / 6.0:
-        substeps = math.ceil(6.0 * nu)
-        if nu / substeps > 1.0 / 6.0:  # 6.0 * nu rounded down to an integer
-            substeps += 1
-        nu /= substeps
+    substeps = max(1, math.ceil(6.0 * nu))
+    if nu / substeps > 1.0 / 6.0:  # 6.0 * nu rounded down to an integer
+        substeps += 1
+    nu /= substeps
     for _ in range(substeps):
         lap = -6.0 * values
         for ax in range(3):
@@ -289,8 +288,9 @@ def step(u: DensityField, flux: FluxTensor, chi: float, dt: float) -> DensityFie
     Raises CflViolation when dt exceeds the exact positivity limit of the
     upwind update (summed outgoing face speeds per cell times dt above h).
     """
-    if dt <= 0.0:
-        raise CflViolation(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < math.inf:
+        raise CflViolation(f"dt must be positive and finite, got {dt}")
+    _require_finite(chi=chi)
     if flux.a.shape != (3, 3):
         raise BadParameter(f"flux must be 3x3 for a grid step, got shape {flux.a.shape}")
     h = u.grid.h

@@ -27,19 +27,13 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadExponent, BadParameter, HypothesisViolated, NonPositiveMoment, ZeroField
-from .functionals import aggregation_coefficient, lq_norm, second_moment
+from .functionals import _require_finite, aggregation_coefficient, lq_norm, second_moment
 from .matrixflux import FluxTensor
 from .potential import DensityField, Grid3, gaussian_values
 
 # round-off guard on the admissibility comparison: data re-measured from a
 # grid may land on the threshold to within quadrature noise
 ADMISSIBLE_RTOL = 1e-9
-
-
-def _require_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise BadParameter(f"{name} must be finite, got {value}")
 
 
 def blowup_constant(flux: FluxTensor, chi: float, n: int = 3) -> float:

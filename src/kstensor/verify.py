@@ -129,29 +129,27 @@ def suite_potential_oracle(seeds: int = 3) -> list[CaseResult]:
     return out
 
 
-def suite_biler(battery: Battery | None = None) -> list[CaseResult]:
+def suite_biler(battery: Battery) -> list[CaseResult]:
     """Mass-moment-interaction inequality over the stock density battery."""
     out = []
-    for name, u, pot in solved_battery() if battery is None else battery:
+    for name, u, pot in battery:
         lhs, rhs, ok = fn.biler_check(u, pot=pot)
         out.append(CaseResult("biler", name, rhs / lhs - 1.0, ok))
     return out
 
 
-def suite_gradv_bound(battery: Battery | None = None) -> list[CaseResult]:
+def suite_gradv_bound(battery: Battery) -> list[CaseResult]:
     """Measured max |grad v| never exceeds the optimized analytic bound."""
     out = []
-    for name, u, pot in solved_battery() if battery is None else battery:
+    for name, u, pot in battery:
         measured = float(pot.gradient_magnitude().max())
         bound, _ = fn.gradv_sup_bound(u)
         out.append(CaseResult("gradv-bound", name, bound / measured - 1.0, measured <= bound))
     return out
 
 
-def suite_moment_identity(battery: Battery | None = None) -> list[CaseResult]:
+def suite_moment_identity(battery: Battery) -> list[CaseResult]:
     """Identity vs symmetrized direct sum, and the identity-to-bound chain."""
-    if battery is None:
-        battery = solved_battery()
     out = []
     flux_rot = FluxTensor.from_matrix(rotation_z(math.pi / 4))
     flux_id = FluxTensor.from_matrix(np.eye(3))
@@ -192,14 +190,14 @@ _BATTERY_SUITES = {
 def run_suite(name: str, battery: Battery | None = None) -> list[CaseResult]:
     """Run one named suite; logs one INFO line with its case counts and wall time.
 
-    The suites that read the 32^3 battery take ``battery`` when given and
-    solve their own otherwise; "all" solves one and hands it to each of them.
+    The suites that read the 32^3 battery take ``battery`` when given; this
+    is the one place that solves one otherwise, and "all" hands one to each.
     """
     t0 = time.perf_counter()
     if name == "potential-oracle":
         results = suite_potential_oracle()
     elif name in _BATTERY_SUITES:
-        results = _BATTERY_SUITES[name](battery)
+        results = _BATTERY_SUITES[name](solved_battery() if battery is None else battery)
     elif name == "all":
         results = run_suite("potential-oracle")
         # solved only now: the battery (about 16 MB) must not be alive

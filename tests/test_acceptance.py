@@ -17,7 +17,7 @@ from kstensor import thresholds as th
 from kstensor.matrixflux import FluxTensor, rotation_z
 from kstensor.potential import DensityField, Grid3, gaussian_values
 from kstensor.solver import InitialData, load_config, make_initial_data, run
-from kstensor.verify import suite_biler, suite_gradv_bound, suite_potential_oracle
+from kstensor.verify import solved_battery, suite_biler, suite_gradv_bound, suite_potential_oracle
 from sphere_oracle import sphere_min, sphere_table
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
@@ -118,7 +118,7 @@ def test_criterion_2_potential_oracle():
 
 def test_criterion_3_biler_inequality():
     start = time.monotonic()
-    all_hold = all(c.passed for c in suite_biler())
+    all_hold = all(c.passed for c in suite_biler(solved_battery()))
     # Monte-Carlo oracle for the Gaussian interaction integral, 1e7 samples
     rng = np.random.default_rng(777)
     acc = 0.0
@@ -245,7 +245,7 @@ def test_criterion_9_gradient_bound():
     box = DensityField(grid, np.where(inside, 1.0, 0.0))  # M = 1, linf = 1
     _, gamma = fn.gradv_sup_bound(box)
     gamma_ok = abs(gamma - (1 / (2 * math.pi)) ** (1 / 3)) <= 1e-10
-    cases = suite_gradv_bound()
+    cases = suite_gradv_bound(solved_battery())
     dominated = all(c.passed for c in cases)
     margin = 1.0 + min(c.margin for c in cases)  # each margin is bound / measured - 1
     ok = gamma_ok and dominated

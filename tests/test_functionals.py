@@ -301,6 +301,41 @@ class TestLqNorm:
             fn.lq_norm(u, 0.5)
 
 
+class TestNonFinite:
+    # a NaN or infinite parameter gets the error the function raises for a bad value
+
+    @pytest.mark.parametrize("q", [math.inf, math.nan])
+    def test_lq_norm_rejects_q(self, q):
+        with pytest.raises(BadParameter, match=r"\bfinite"):
+            fn.lq_norm(gaussian_field(Grid3(16, 4.0)), q)
+
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
+    def test_gradv_sup_bound_rejects_gamma(self, gamma):
+        with pytest.raises(BadParameter, match=r"\bfinite"):
+            fn.gradv_sup_bound(gaussian_field(Grid3(16, 4.0)), gamma=gamma)
+
+    @pytest.mark.parametrize(
+        "b",
+        [
+            np.full((3, 3), math.nan),
+            np.diag([math.inf, 1.0, 1.0]),
+            [[1.0, math.nan, 0.0], [math.nan, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        ],
+        ids=["nan", "inf_diagonal", "nan_pair"],
+    )
+    def test_weighted_moment_rejects_matrix(self, b):
+        with pytest.raises(NotSPD, match=r"\bfinite"):
+            fn.weighted_moment(gaussian_field(Grid3(16, 4.0)), b)
+
+    @pytest.mark.parametrize(
+        "w, m_tot", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)]
+    )
+    def test_moment_rhs_bound_rejects(self, w, m_tot):
+        flux = FluxTensor.from_matrix(np.eye(3))
+        with pytest.raises(NonPositiveMoment, match=r"\bfinite"):
+            fn.moment_rhs_bound(w, m_tot, flux, chi=1.0)
+
+
 class TestDiagnostics:
     def test_csv_row_layout(self):
         u = gaussian_field(Grid3(16, 4.0), sigma=1.0)

@@ -88,6 +88,10 @@ class TestGrid3:
         with pytest.raises(ValueError):
             Grid3(16, 0.0)
 
+    def test_rejects_infinite_half_width(self):
+        with pytest.raises(ValueError, match=r"\bfinite"):
+            Grid3(16, math.inf)
+
 
 class TestDensityField:
     def test_rejects_negative(self):
@@ -145,6 +149,19 @@ class TestOracleEquivalence:
         u = gaussian_field(grid, sigma=0.4, center=(0.3, -0.2, 0.1))
         np.testing.assert_array_equal(solve_potential_v(u), solve_potential_fast(u).v)
 
+    def test_fast_solve_peak_memory_below_24_grids(self):
+        # each centred difference of u for the defect correction lives only
+        # through its own gradient convolution, not through all three
+        u = gaussian_field(Grid3(32, 2.0), sigma=0.4)
+        potential._tables_for(32)  # the cached tables are not the solve's
+        tracemalloc.start()
+        try:
+            solve_potential_fast(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * u.values.nbytes
+
 
 class TestDirectBlocks:
     # the O(N^2) oracle runs in bounded row blocks with buffers reused
@@ -183,7 +200,7 @@ def dense_direct(u):
     uf = u.values.ravel()
     v = (1.0 / (4 * math.pi * r)) @ uf + CUBE_MEAN_INV_R / (4 * math.pi * h) * uf
     g = [(-d[k] / (4 * math.pi * r**3)) @ uf for k in range(3)]
-    du = potential._grad_centered(u.values, h)
+    du = [potential._centered(u.values, k, h) for k in range(3)]
     shape = u.values.shape
     v = v.reshape(shape) * h**3 + potential._V_CORRECTION * h * h * u.values
     g = [g[k].reshape(shape) * h**3 + potential._G_CORRECTION * h * h * du[k] for k in range(3)]

@@ -29,6 +29,19 @@ def unit_gaussian(grid):
     return DensityField(grid, gaussian_values(grid, 1.0, 1.0))
 
 
+def seven_point(values, nu):
+    """One explicit heat sub-step with reflecting walls: per axis, the left then right neighbour."""
+    n = values.shape[0]
+    padded = np.pad(values, 1, mode="edge")
+    lap = -6.0 * values
+    for ax in range(3):
+        for lo in (0, 2):
+            window = [slice(1, n + 1)] * 3
+            window[ax] = slice(lo, lo + n)
+            lap += padded[tuple(window)]
+    return values + nu * lap
+
+
 def small_config(**overrides):
     base = dict(
         matrix=np.eye(3),
@@ -177,6 +190,33 @@ class TestStep:
             step(u, IDENTITY, chi=100.0, dt=10.0)
         with pytest.raises(CflViolation):
             step(u, IDENTITY, chi=1.0, dt=0.0)
+
+    @pytest.mark.parametrize(
+        "chi, dt, error",
+        [
+            (0.0, math.inf, CflViolation),
+            (1.0, math.nan, CflViolation),
+            (0.0, math.nan, CflViolation),
+            (math.nan, 0.001, BadParameter),
+            (math.inf, 0.001, BadParameter),
+            (-math.inf, 0.001, BadParameter),
+        ],
+    )
+    def test_rejects_non_finite(self, chi, dt, error):
+        u = unit_gaussian(Grid3(16, 6.0))
+        with pytest.raises(error, match=r"\bfinite"):
+            step(u, IDENTITY, chi=chi, dt=dt)
+
+    @pytest.mark.parametrize(
+        "nu, substeps", [(1.0 / 6.0, 1), (np.nextafter(1.0 / 6.0, 1.0), 2)], ids=["one", "two"]
+    )
+    def test_diffuse_substeps_at_one_sixth(self, nu, substeps):
+        grid = Grid3(16, 8.0)  # h = 1, so nu = dt
+        u = np.random.default_rng(5).random((16, 16, 16))
+        want = u
+        for _ in range(substeps):
+            want = seven_point(want, nu / substeps)
+        np.testing.assert_array_equal(sv._diffuse(u, grid, nu), want)
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_rejects_flux_not_3x3(self, n):
