@@ -67,10 +67,11 @@ def second_moment(u: DensityField) -> float:
 
 
 def lq_norm(u: DensityField, q: float) -> float:
-    """Lebesgue norm (h^3 sum u^q)^(1/q) for q >= 1."""
+    """Lebesgue norm (h^3 sum u^q)^(1/q) for q >= 1, scaled by max u so u^q cannot underflow."""
     if not 1.0 <= q < math.inf:
         raise BadParameter(f"q must be finite and >= 1, got {q}")
-    return float((u.grid.cell_volume * np.sum(u.values**q)) ** (1.0 / q))
+    linf = float(u.values.max()) or 1.0  # a zero field keeps its norm 0
+    return linf * float((u.grid.cell_volume * np.sum((u.values / linf) ** q)) ** (1.0 / q))
 
 
 def boundary_mass_fraction(u: DensityField) -> float:

@@ -100,8 +100,8 @@ class Grid3:
         n = self.n_cells
         if n < 2 or (n & (n - 1)) != 0:
             raise ValueError(f"n_cells must be a power of two >= 2, got {n}")
-        if not 0.0 < self.half_width < math.inf:
-            raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
+        if not 0.0 < self.h * self.h * self.h < math.inf:  # the cell volume
+            raise ValueError(f"half_width must give a finite h^3 > 0, got {self.half_width}")
 
     @property
     def h(self) -> float:

@@ -154,7 +154,7 @@ class SimOutcome:
     message: str = ""
     # time of the first record whose moments are not trusted (moments_valid)
     moments_invalid_t: float | None = None
-    # steps whose dt each limit set (dt_max, b_l1, rate, land), wall s per phase
+    # steps whose dt each limit set (dt_max, rate, land), wall s per phase
     dt_limits: dict[str, int] = field(default_factory=dict)
     phase_s: dict[str, float] = field(default_factory=dict)
 
@@ -204,31 +204,27 @@ def make_initial_data(
 
 def _drift(
     v: np.ndarray | None, flux: FluxTensor, chi: float, h: float
-) -> tuple[list[np.ndarray] | None, float, float]:
-    """Face velocities of b = chi A grad(v), the largest |b|_1, and the outflow rate.
+) -> tuple[list[np.ndarray] | None, float]:
+    """Face velocities of b = chi A grad(v) and the outflow rate.
 
     On a face normal to axis ax, D_ax v is the compact difference across it
     and each other D_o v the mean of the two cells' centred differences
-    (Chertock & Kurganov, Numer. Math. 111, 2008). A cell's speed on an axis
-    is the mean of its two faces, a wall face being 0. With chi = 0 there is
-    no drift (v may be None): no faces, both rates 0.
+    (Chertock & Kurganov, Numer. Math. 111, 2008). With chi = 0 there is no
+    drift (v may be None): no faces, rate 0.
     """
     if chi == 0.0:
-        return None, 0.0, 0.0
+        return None, 0.0
     a, grad = flux.a, [_centered(v, o, h) for o in range(3)]
-    bfaces, speed = [], np.zeros_like(v)  # speed: twice the summed |cell speed|
+    bfaces = []
     for ax in range(3):
-        vm, sm = np.moveaxis(v, ax, 0), np.moveaxis(speed, ax, 0)
+        vm = np.moveaxis(v, ax, 0)
         bf = (chi * a[ax, ax] / h) * (vm[1:] - vm[:-1])
         for o in np.flatnonzero(a[ax]):  # zero entries of A are skipped
             if o != ax:
                 gm = np.moveaxis(grad[o], ax, 0)
                 bf += (0.5 * chi * a[ax, o]) * (gm[1:] + gm[:-1])
-        sm[1:-1] += np.abs(bf[1:] + bf[:-1])
-        sm[0] += np.abs(bf[0])
-        sm[-1] += np.abs(bf[-1])
         bfaces.append(bf)
-    return bfaces, 0.5 * float(speed.max()), _outflow_rate(bfaces, v.shape)
+    return bfaces, _outflow_rate(bfaces, v.shape)
 
 
 def _outflow_rate(bfaces: list[np.ndarray], shape: tuple[int, ...]) -> float:
@@ -294,7 +290,7 @@ def step(u: DensityField, flux: FluxTensor, chi: float, dt: float) -> DensityFie
     if flux.a.shape != (3, 3):
         raise BadParameter(f"flux must be 3x3 for a grid step, got shape {flux.a.shape}")
     h = u.grid.h
-    bfaces, _, rate = _drift(None if chi == 0.0 else solve_potential_v(u), flux, chi, h)
+    bfaces, rate = _drift(None if chi == 0.0 else solve_potential_v(u), flux, chi, h)
     if dt * rate > h:
         raise CflViolation(
             f"dt = {dt:.3e} exceeds the advective limit {h / rate:.3e} (cfl 1.0)"
@@ -321,7 +317,7 @@ def run(config: SimConfig) -> SimOutcome:
     status = "CompletedToTEnd"
     message = ""
     min_density = float(u.values.min())
-    dt_limits = dict.fromkeys(("dt_max", "b_l1", "rate", "land"), 0)
+    dt_limits = dict.fromkeys(("dt_max", "rate", "land"), 0)
     phase_s = dict.fromkeys(("potential", "drift", "advance", "record", "output"), 0.0)
     lap_start = time.perf_counter()
 
@@ -350,15 +346,12 @@ def run(config: SimConfig) -> SimOutcome:
         if v is None and config.chi != 0.0:
             v = solve_potential_v(u)
         _lap("potential")
-        bfaces, b_l1, rate = _drift(v, flux, config.chi, h)
+        bfaces, rate = _drift(v, flux, config.chi, h)
         _lap("drift")
-        # a zero speed sets no limit; of equal limits the first is counted
-        limits = {"dt_max": config.dt_max}
-        for name, speed in (("b_l1", b_l1), ("rate", rate)):
-            if speed > 0.0:
-                limits[name] = config.cfl * h / speed
-        limit = min(limits, key=limits.get)
-        dt = limits[limit]
+        # cfl < 1 scales the exact positivity limit; a zero rate sets no limit
+        dt, limit = config.dt_max, "dt_max"
+        if rate > 0.0 and config.cfl * h / rate < dt:
+            dt, limit = config.cfl * h / rate, "rate"
         if dt < config.dt_min:
             status = "NumericalBlowup"
             message = f"time step collapsed below dt_min ({dt:.3e} < {config.dt_min:.3e})"

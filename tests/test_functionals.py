@@ -300,6 +300,15 @@ class TestLqNorm:
         with pytest.raises(BadParameter):
             fn.lq_norm(u, 0.5)
 
+    @pytest.mark.parametrize("q", [300.0, 1000.0])
+    def test_large_q_tends_to_sup(self, q):
+        # u^q alone underflows to 0 here; the norm must approach max u = 0.0602
+        u = gaussian_field(Grid3(32, 6.0), sigma=1.0)
+        assert fn.lq_norm(u, q) == pytest.approx(u.values.max(), rel=1e-2)
+
+    def test_zero_field(self):
+        assert fn.lq_norm(DensityField(Grid3(16, 4.0), np.zeros((16, 16, 16))), 2.0) == 0.0
+
 
 class TestNonFinite:
     # a NaN or infinite parameter gets the error the function raises for a bad value

@@ -85,12 +85,14 @@ class TestGrid3:
             Grid3(24, 1.0)
 
     def test_rejects_bad_half_width(self):
-        with pytest.raises(ValueError):
-            Grid3(16, 0.0)
+        for half_width in (0.0, 1e-200):  # 1e-200: h^3 underflows to 0
+            with pytest.raises(ValueError):
+                Grid3(16, half_width)
 
     def test_rejects_infinite_half_width(self):
-        with pytest.raises(ValueError, match=r"\bfinite"):
-            Grid3(16, math.inf)
+        for half_width in (math.inf, 1e308, 1e200):  # h or h^3 overflows
+            with pytest.raises(ValueError, match=r"\bfinite"):
+                Grid3(16, half_width)
 
 
 class TestDensityField:

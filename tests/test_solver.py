@@ -258,12 +258,15 @@ def gaussian_grad_exact(x, y, z, mass=1.0, sigma=1.0):
     return g * x, g * y, g * z
 
 
+FACE_MATRICES = pytest.mark.parametrize(
+    "matrix",
+    [rotation_z(math.pi / 4), [[1.0, 0.3, -0.2], [0.1, 0.8, 0.25], [-0.15, 0.2, 1.2]]],
+    ids=["rotation", "full"],
+)
+
+
 class TestFaceDrift:
-    @pytest.mark.parametrize(
-        "matrix",
-        [rotation_z(math.pi / 4), [[1.0, 0.3, -0.2], [0.1, 0.8, 0.25], [-0.15, 0.2, 1.2]]],
-        ids=["rotation", "full"],
-    )
+    @FACE_MATRICES
     def test_face_speeds_converge_to_closed_form(self, matrix):
         # chi A grad(v) at the face centres; the error falls at second order
         flux = FluxTensor.from_matrix(np.array(matrix))
@@ -272,7 +275,7 @@ class TestFaceDrift:
         for n in (32, 64):
             grid = Grid3(n, 8.0)
             v = sv.solve_potential_v(unit_gaussian(grid))
-            bfaces, _, _ = sv._drift(v, flux, chi, grid.h)
+            bfaces, _ = sv._drift(v, flux, chi, grid.h)
             c = grid.axis_centers()
             err = top = 0.0
             for ax in range(3):
@@ -285,6 +288,20 @@ class TestFaceDrift:
             errs[n] = err / top
         assert errs[64] <= 2e-2
         assert errs[32] / errs[64] >= 3.0
+
+    @FACE_MATRICES
+    @pytest.mark.parametrize("chi", [20.0, 200.0])
+    def test_positive_at_exact_rate_limit(self, matrix, chi):
+        # dt = h / rate (cfl 1) is the largest step the upwind update keeps positive
+        flux = FluxTensor.from_matrix(np.array(matrix))
+        u = unit_gaussian(Grid3(32, 6.0))
+        h = u.grid.h
+        _, rate = sv._drift(sv.solve_potential_v(u), flux, chi, h)
+        out = step(u, flux, chi, h / rate)
+        assert out.values.min() >= 0.0
+        assert abs(out.mass - u.mass) / u.mass <= 1e-13
+        with pytest.raises(CflViolation):
+            step(u, flux, chi, 1.001 * h / rate)
 
 
 class TestRun:
@@ -390,7 +407,7 @@ class TestRun:
         # snapshot time and on t_end
         out = run(small_config(t_end=0.2, snapshot_times=(0.1,), output_dir=str(tmp_path)))
         assert sum(out.dt_limits.values()) == out.steps
-        assert out.dt_limits == {"dt_max": out.steps - 2, "b_l1": 0, "rate": 0, "land": 2}
+        assert out.dt_limits == {"dt_max": out.steps - 2, "rate": 0, "land": 2}
         text = (tmp_path / "outcome.txt").read_text()
         assert f"dt_limit_dt_max={out.steps - 2}\n" in text
         assert "dt_limit_land=2\n" in text
@@ -407,7 +424,7 @@ class TestRun:
         assert out.status == "CompletedToTEnd"
         assert sum(out.dt_limits.values()) == out.steps
         assert out.dt_limits["dt_max"] == 0
-        assert out.dt_limits["b_l1"] + out.dt_limits["rate"] >= out.steps - 1 >= 1
+        assert out.dt_limits["rate"] >= out.steps - 1 >= 1
 
     def test_phase_times_reported(self, tmp_path):
         out = run(small_config(chi=5.0, t_end=0.1, snapshot_times=(0.05,), output_dir=str(tmp_path)))
@@ -600,7 +617,7 @@ diagnostics_every = 5
     @pytest.mark.parametrize(
         "n_cells, half_width, name",
         [(8, 10.0, "n_cells"), (24, 10.0, "n_cells"), (32, 0.0, "half_width"),
-         (32, -1.0, "half_width")],
+         (32, -1.0, "half_width"), (32, 1e200, "half_width")],
     )
     def test_rejects_grid_below_solver_minimum(self, n_cells, half_width, name):
         with pytest.raises(ConfigInvalid, match=name):
