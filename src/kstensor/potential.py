@@ -265,11 +265,14 @@ def _pad_rfftn(values: np.ndarray, n: int) -> np.ndarray:
 
     One axis at a time, each pass transforms only the lines that can hold
     nonzero data: n^2 lines along z, n(n+1) along y, then 2n(n+1) along x.
+    The passes fill one array in place, zeroed only where the z pass writes nothing.
     """
     m = 2 * n
-    spec = sfft.rfft(values, n=m, axis=2, workers=_FFT_WORKERS)
-    spec = sfft.fft(spec, n=m, axis=1, overwrite_x=True, workers=_FFT_WORKERS)
-    return sfft.fft(spec, n=m, axis=0, overwrite_x=True, workers=_FFT_WORKERS)
+    spec = np.empty((m, m, n + 1), dtype=complex)
+    spec[:n, :n] = sfft.rfft(values, n=m, axis=2, workers=_FFT_WORKERS)
+    spec[:n, n:] = spec[n:] = 0.0
+    sfft.fft(spec[:n], axis=1, overwrite_x=True, workers=_FFT_WORKERS)
+    return sfft.fft(spec, axis=0, overwrite_x=True, workers=_FFT_WORKERS)
 
 
 def _crop_irfftn(spec: np.ndarray, n: int, scale: complex) -> np.ndarray:
@@ -304,24 +307,24 @@ def _solve_fast(u: DensityField, with_gradient: bool = True):
         raise GridTooSmall(f"n_cells = {n} < {FAST_MIN_CELLS}")
     tab = _tables_for(n)
     uh = _pad_rfftn(u.values, n)
-    work = np.empty_like(uh)  # per call, so concurrent solves share nothing
-    # rows kx in [0, n] meet a table's lo, rows kx in [n+1, 2n) its hi
-    uh_lo, uh_hi, work_lo, work_hi = uh[: n + 1], uh[n + 1 :], work[: n + 1], work[n + 1 :]
+    # per call, so concurrent solves share nothing; v's product goes last, into uh
+    work = np.empty_like(uh) if with_gradient else None
 
-    def convolve(table, scale: complex) -> np.ndarray:
-        np.multiply(uh_lo, table[0], out=work_lo)
-        np.multiply(uh_hi, table[1], out=work_hi)
-        return _crop_irfftn(work, n, scale)
+    def convolve(table, scale: complex, out: np.ndarray) -> np.ndarray:
+        # rows kx in [0, n] meet a table's lo, rows kx in [n+1, 2n) its hi
+        np.multiply(uh[: n + 1], table[0], out=out[: n + 1])
+        np.multiply(uh[n + 1 :], table[1], out=out[n + 1 :])
+        return _crop_irfftn(out, n, scale)
 
     # cell volume h^3 times the unit tables' 1/h (K) and i/h^2 (grad K); the
     # defect correction is the left operand, so the results are contiguous
-    v = (_V_CORRECTION * h * h) * u.values
-    v += convolve(tab.k_hat, h * h)
     grads = []
     for ax, g_hat in enumerate(tab.g_hat if with_gradient else []):
         g = (_G_CORRECTION * h * h) * _centered(u.values, ax, h)
-        g += convolve(g_hat, 1j * h)
+        g += convolve(g_hat, 1j * h, work)
         grads.append(g)
+    v = (_V_CORRECTION * h * h) * u.values
+    v += convolve(tab.k_hat, h * h, uh)
     return v, grads
 
 

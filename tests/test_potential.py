@@ -164,6 +164,18 @@ class TestOracleEquivalence:
             tracemalloc.stop()
         assert peak <= 24 * u.values.nbytes
 
+    def test_potential_only_solve_peak_memory_below_14_grids(self):
+        # one padded spectrum: the potential's product overwrites it in place
+        u = gaussian_field(Grid3(32, 2.0), sigma=0.4)
+        potential._tables_for(32)
+        tracemalloc.start()
+        try:
+            solve_potential_v(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14 * u.values.nbytes
+
 
 class TestDirectBlocks:
     # the O(N^2) oracle runs in bounded row blocks with buffers reused
@@ -264,6 +276,32 @@ class TestPrunedTransforms:
         got = _pad_rfftn(values, n)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_pad_rfftn_zeroes_its_own_pad(self, monkeypatch, n):
+        # _pad_rfftn zero-fills by hand: fill fresh float buffers with NaN so
+        # that any pad entry it forgets to write reaches the spectrum
+        grid = Grid3(n, 2.0)
+        u = gaussian_field(grid, sigma=0.4, center=(0.3, -0.2, 0.1))
+        clean_v, clean = solve_potential_v(u), solve_potential_fast(u)
+        empty = np.empty
+
+        def poisoned(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            if np.issubdtype(out.dtype, np.inexact):
+                out.fill(np.nan)
+            return out
+
+        monkeypatch.setattr(potential.np, "empty", poisoned)
+        m, w = 2 * n, potential._FFT_WORKERS
+        ref = sfft.rfft(u.values, n=m, axis=2, workers=w)
+        ref = sfft.fft(ref, n=m, axis=1, workers=w)
+        ref = sfft.fft(ref, n=m, axis=0, workers=w)
+        np.testing.assert_array_equal(_pad_rfftn(u.values, n), ref)
+        np.testing.assert_array_equal(solve_potential_v(u), clean_v)
+        pot = solve_potential_fast(u)
+        for name in ("v", "gx", "gy", "gz"):
+            np.testing.assert_array_equal(getattr(pot, name), getattr(clean, name))
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_crop_irfftn_matches_cropped_inverse(self, n):
