@@ -8,7 +8,8 @@ convolution with the kernel K(x) = 1/(4 pi |x|):
   the transforms run axis by axis and skip the lines that are all zero on
   the way in or cropped away on the way out). The kernel spectra are real
   tables built once per n_cells from one octant by DCT-I/DST-I, free of the
-  grid spacing, which enters as one scalar per inverse transform;
+  grid spacing, which enters as one scalar per inverse transform; the spectrum
+  products run in one row block per usable CPU, with the same bits for any count;
 * direct path: O(N^2) double sum, an independent oracle for the fast path,
   visiting each pair of cells once over a table of the (2n-1)^3 integer
   displacements.
@@ -28,10 +29,13 @@ fields are three-dimensional only.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +59,25 @@ _BLOCK_PAIRS = 1 << 17
 FAST_MIN_CELLS = 16
 
 _FFT_WORKERS = -1  # scipy.fft uses all available cores
+_BLOCKS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 logger = logging.getLogger(__name__)
+
+
+@functools.lru_cache(maxsize=1)  # one pool per process id: a forked child builds its own
+def _pool(pid: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(_BLOCKS - 1, thread_name_prefix="kstensor-blocks")
+
+
+def _in_blocks(task, n: int, *args) -> list:
+    """[task(lo, hi, *args) for each of min(_BLOCKS, n) contiguous blocks [lo, hi) of range(n)].
+
+    The first block runs on the caller, the rest on the pool. A task writes only its block,
+    by the same operations per element as one block, and never calls this helper.
+    """
+    cuts = sorted({n * b // _BLOCKS for b in range(_BLOCKS + 1)})  # no empty block
+    rest = [_pool(os.getpid()).submit(task, *lohi, *args) for lohi in zip(cuts[1:-1], cuts[2:])]
+    return [task(cuts[0], cuts[1], *args)] + [f.result() for f in rest]
 
 
 def unit_ball_volume(n: int) -> float:
@@ -289,9 +310,9 @@ def _crop_irfftn(spec: np.ndarray, n: int, scale: complex) -> np.ndarray:
     return sfft.irfft(out, n=m, axis=2, workers=_FFT_WORKERS)[:, :, :n]
 
 
-def _centered(u: np.ndarray, ax: int, h: float) -> np.ndarray:
-    """Central difference along axis ax, one-sided at the box faces."""
-    d = np.empty_like(u)
+def _centered(u: np.ndarray, ax: int, h: float, d: np.ndarray | None = None) -> np.ndarray:
+    """Central difference along axis ax, one-sided at the box faces; into d if given."""
+    d = np.empty_like(u) if d is None else d
     ua, da = np.moveaxis(u, ax, 0), np.moveaxis(d, ax, 0)
     da[1:-1] = (ua[2:] - ua[:-2]) / (2.0 * h)
     da[0] = (ua[1] - ua[0]) / h
@@ -310,21 +331,23 @@ def _solve_fast(u: DensityField, with_gradient: bool = True):
     # per call, so concurrent solves share nothing; v's product goes last, into uh
     work = np.empty_like(uh) if with_gradient else None
 
-    def convolve(table, scale: complex, out: np.ndarray) -> np.ndarray:
+    def product(start: int, stop: int, table, out: np.ndarray) -> None:
         # rows kx in [0, n] meet a table's lo, rows kx in [n+1, 2n) its hi
-        np.multiply(uh[: n + 1], table[0], out=out[: n + 1])
-        np.multiply(uh[n + 1 :], table[1], out=out[n + 1 :])
-        return _crop_irfftn(out, n, scale)
+        m = min(max(start, n + 1), stop)
+        np.multiply(uh[start:m], table[0][start:m], out=out[start:m])
+        np.multiply(uh[m:stop], table[1][m - n - 1 : stop - n - 1], out=out[m:stop])
 
     # cell volume h^3 times the unit tables' 1/h (K) and i/h^2 (grad K); the
     # defect correction is the left operand, so the results are contiguous
     grads = []
     for ax, g_hat in enumerate(tab.g_hat if with_gradient else []):
         g = (_G_CORRECTION * h * h) * _centered(u.values, ax, h)
-        g += convolve(g_hat, 1j * h, work)
+        _in_blocks(product, 2 * n, g_hat, work)
+        g += _crop_irfftn(work, n, 1j * h)
         grads.append(g)
     v = (_V_CORRECTION * h * h) * u.values
-    v += convolve(tab.k_hat, h * h, uh)
+    _in_blocks(product, 2 * n, tab.k_hat, uh)
+    v += _crop_irfftn(uh, n, h * h)
     return v, grads
 
 

@@ -15,10 +15,12 @@ Each step splits the dynamics:
    clamp. The CFL-limited steps of a collapse run take a single sub-step.
 
 `step` and `run` share one drift kernel and one advance, so a single step
-runs the code of a run's step. The step size adapts to the advective CFL
-limit; runs stop at t_end, on the sup-norm blow-up trigger, or when dt
-collapses below dt_min (both of the latter report NumericalBlowup with
-evidence attached).
+runs the code of a run's step. Their whole-grid passes (centred differences,
+face speeds, outflow rate, advection, diffusion) run in one block per usable
+CPU, cut along an axis they do not difference, bitwise equal for any count.
+The step size adapts to the advective CFL limit; runs stop at t_end, on the
+sup-norm blow-up trigger, or when dt collapses below dt_min (both of the
+latter report NumericalBlowup with evidence attached).
 """
 
 from __future__ import annotations
@@ -45,7 +47,9 @@ from .potential import (
     FAST_MIN_CELLS,
     DensityField,
     Grid3,
+    _BLOCKS,
     _centered,
+    _in_blocks,
     ball_values,
     gaussian_values,
     load_field,
@@ -157,6 +161,7 @@ class SimOutcome:
     # steps whose dt each limit set (dt_max, rate, land), wall s per phase
     dt_limits: dict[str, int] = field(default_factory=dict)
     phase_s: dict[str, float] = field(default_factory=dict)
+    dt_stats: dict[str, float] = field(default_factory=dict)  # over the steps taken
 
 
 def make_initial_data(
@@ -202,10 +207,15 @@ def make_initial_data(
     return u
 
 
+def _lines(a: np.ndarray, ax: int, lo: int, hi: int) -> np.ndarray:
+    """Whole lines of `a` along axis ax, that axis first, cut to lo:hi on the first other axis."""
+    return np.moveaxis(a, ax, 0)[:, lo:hi]
+
+
 def _drift(
     v: np.ndarray | None, flux: FluxTensor, chi: float, h: float
 ) -> tuple[list[np.ndarray] | None, float]:
-    """Face velocities of b = chi A grad(v) and the outflow rate.
+    """Face velocities of b = chi A grad(v) and the outflow (exact positivity) rate.
 
     On a face normal to axis ax, D_ax v is the compact difference across it
     and each other D_o v the mean of the two cells' centred differences
@@ -214,38 +224,41 @@ def _drift(
     """
     if chi == 0.0:
         return None, 0.0
-    a, grad = flux.a, [_centered(v, o, h) for o in range(3)]
-    bfaces = []
-    for ax in range(3):
-        vm = np.moveaxis(v, ax, 0)
-        bf = (chi * a[ax, ax] / h) * (vm[1:] - vm[:-1])
+    a, grad, out = flux.a, [np.empty_like(v) for _ in range(3)], np.zeros_like(v)
+    bfaces = [np.empty_like(np.moveaxis(v, ax, 0)[1:]) for ax in range(3)]  # face axis first
+
+    def centred(lo: int, hi: int) -> None:
+        for o, g in enumerate(grad):
+            _centered(_lines(v, o, lo, hi), 0, h, _lines(g, o, lo, hi))
+
+    def faces(lo: int, hi: int, ax: int) -> float:
+        vm, bm, om = _lines(v, ax, lo, hi), bfaces[ax][:, lo:hi], _lines(out, ax, lo, hi)
+        np.multiply(chi * a[ax, ax] / h, vm[1:] - vm[:-1], out=bm)
         for o in np.flatnonzero(a[ax]):  # zero entries of A are skipped
             if o != ax:
-                gm = np.moveaxis(grad[o], ax, 0)
-                bf += (0.5 * chi * a[ax, o]) * (gm[1:] + gm[:-1])
-        bfaces.append(bf)
-    return bfaces, _outflow_rate(bfaces, v.shape)
+                gm = _lines(grad[o], ax, lo, hi)
+                bm += (0.5 * chi * a[ax, o]) * (gm[1:] + gm[:-1])
+        om[:-1] += np.maximum(bm, 0.0)  # outflow through the right face
+        om[1:] += np.maximum(-bm, 0.0)  # outflow through the left face
+        return om.max() if ax == 2 else 0.0  # rows lo:hi are whole once axis 2 is in
 
-
-def _outflow_rate(bfaces: list[np.ndarray], shape: tuple[int, ...]) -> float:
-    """Max over cells of the summed outgoing face speeds (exact positivity rate)."""
-    out = np.zeros(shape)
-    for ax, bf in enumerate(bfaces):
-        om = np.moveaxis(out, ax, 0)
-        om[:-1] += np.maximum(bf, 0.0)  # outflow through the right face
-        om[1:] += np.maximum(-bf, 0.0)  # outflow through the left face
-    return float(out.max())
+    _in_blocks(centred, len(v))
+    maxima = [_in_blocks(faces, len(v), ax) for ax in range(3)]
+    return bfaces, float(max(maxima[2]))
 
 
 def _advect(u: np.ndarray, bfaces: list[np.ndarray], dt: float, h: float) -> np.ndarray:
     """Flux-form upwind transport; wall faces carry no flux, so mass telescopes."""
     un = u.copy()
-    for ax, bf in enumerate(bfaces):
-        ua = np.moveaxis(u, ax, 0)
-        flux = np.where(bf > 0.0, ua[:-1], ua[1:]) * bf
-        duo = np.moveaxis(un, ax, 0)
-        duo[:-1] -= flux * (dt / h)
-        duo[1:] += flux * (dt / h)
+
+    def transport(lo: int, hi: int, ax: int) -> None:
+        ua, bf, duo = _lines(u, ax, lo, hi), bfaces[ax][:, lo:hi], _lines(un, ax, lo, hi)
+        flux = np.where(bf > 0.0, ua[:-1], ua[1:]) * bf * (dt / h)
+        duo[:-1] -= flux
+        duo[1:] += flux
+
+    for ax in range(3):
+        _in_blocks(transport, len(u), ax)
     return un
 
 
@@ -257,16 +270,22 @@ def _diffuse(values: np.ndarray, grid: Grid3, dt: float) -> np.ndarray:
     if nu / substeps > 1.0 / 6.0:  # 6.0 * nu rounded down to an integer
         substeps += 1
     nu /= substeps
+
+    def heat(lo: int, hi: int, ax: int) -> None:
+        ua, la = _lines(values, ax, lo, hi), _lines(lap, ax, lo, hi)
+        la[1:] += ua[:-1]
+        la[0] += ua[0]
+        la[:-1] += ua[1:]
+        la[-1] += ua[-1]
+        if ax == 2:  # rows lo:hi are whole: lap becomes values + nu * lap, in place
+            la *= nu
+            la += ua
+
     for _ in range(substeps):
         lap = -6.0 * values
         for ax in range(3):
-            ua = np.moveaxis(values, ax, 0)
-            la = np.moveaxis(lap, ax, 0)
-            la[1:] += ua[:-1]
-            la[0] += ua[0]
-            la[:-1] += ua[1:]
-            la[-1] += ua[-1]
-        values = values + nu * lap
+            _in_blocks(heat, len(values), ax)
+        values = lap
     return values
 
 
@@ -317,7 +336,7 @@ def run(config: SimConfig) -> SimOutcome:
     status = "CompletedToTEnd"
     message = ""
     min_density = float(u.values.min())
-    dt_limits = dict.fromkeys(("dt_max", "rate", "land"), 0)
+    dt_limits, dts = dict.fromkeys(("dt_max", "rate", "land"), 0), []
     phase_s = dict.fromkeys(("potential", "drift", "advance", "record", "output"), 0.0)
     lap_start = time.perf_counter()
 
@@ -338,8 +357,8 @@ def run(config: SimConfig) -> SimOutcome:
     # the potential of the state last recorded; the next drift reuses it
     v = _record(u, t)
     logger.info(
-        "run start: %d^3 grid, h=%.4g, chi=%.6g, sup0=%.6g, mass=%.12g",
-        grid.n_cells, h, config.chi, sup0, u.mass,
+        "run start: %d^3 grid, h=%.4g, chi=%.6g, sup0=%.6g, mass=%.12g, %d row blocks",
+        grid.n_cells, h, config.chi, sup0, u.mass, _BLOCKS,
     )
 
     while t < config.t_end:
@@ -370,11 +389,12 @@ def run(config: SimConfig) -> SimOutcome:
             logger.error("aborting at t=%.6g: %s", t, message)
             break
         u = DensityField(grid, vals)
-        v = None
+        v = bfaces = None  # freed before a record's full solve
         min_density = min(min_density, float(vals.min()))
         t = stop if land else t + dt
         steps += 1
         dt_limits[limit] += 1
+        dts.append(dt)
         _lap("advance")
 
         while pending_snapshots and t >= pending_snapshots[0]:
@@ -410,10 +430,13 @@ def run(config: SimConfig) -> SimOutcome:
         moments_invalid_t=next((r.t for r in records if not r.moments_valid), None),
         dt_limits=dt_limits,
         phase_s=phase_s,
+        dt_stats=dict(zip(("dt_min", "dt_median", "dt_max"),
+                          np.quantile(dts, [0, 0.5, 1]).tolist() if dts else ())),
     )
     logger.info(
-        "run end: %s at t=%.6g after %d steps (growth %.1fx, dt %.3e; dt limits %s)",
+        "run end: %s at t=%.6g after %d steps (growth %.1fx, dt %.3e; dt limits %s; %s)",
         status, t, steps, growth, dt, " ".join(f"{k}={c}" for k, c in dt_limits.items()),
+        " ".join(f"{k}={x:.3e}" for k, x in outcome.dt_stats.items()),
     )
     if config.output_dir:
         write_csv(records, os.path.join(config.output_dir, "diagnostics.csv"))
@@ -435,6 +458,7 @@ def write_outcome(outcome: SimOutcome, path: str) -> None:
             fh.write(f"moments_invalid_t={outcome.moments_invalid_t:.12e}\n")
         fh.writelines(f"dt_limit_{key}={count}\n" for key, count in outcome.dt_limits.items())
         fh.writelines(f"phase_{key}_s={secs:.6f}\n" for key, secs in outcome.phase_s.items())
+        fh.writelines(f"{key}={dt:.12e}\n" for key, dt in outcome.dt_stats.items())
 
 
 # ---------------------------------------------------------------------------

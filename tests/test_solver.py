@@ -1,11 +1,18 @@
+import logging
 import math
-from dataclasses import fields
+import multiprocessing
+import os
+import sys
+import threading
+import tracemalloc
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
+from kstensor import potential
 from kstensor import solver as sv
 from kstensor.errors import BadParameter, CflViolation, ConfigInvalid, SupportTooLarge
 from kstensor.functionals import second_moment
@@ -412,6 +419,47 @@ class TestRun:
         assert f"dt_limit_dt_max={out.steps - 2}\n" in text
         assert "dt_limit_land=2\n" in text
 
+    def test_dt_stats_and_block_count_reported(self, tmp_path, caplog):
+        cfg = small_config(
+            chi=200.0,
+            half_width=6.0,
+            t_end=0.05,
+            dt_max=1.0,
+            initial=InitialData(kind="gaussian", mass=1.0, sigma=(0.5,) * 3),
+            output_dir=str(tmp_path),
+        )
+        with caplog.at_level(logging.INFO, logger="kstensor.solver"):
+            out = run(cfg)
+        stats = out.dt_stats
+        assert tuple(stats) == ("dt_min", "dt_median", "dt_max")
+        assert 0.0 < stats["dt_min"] < stats["dt_median"] < stats["dt_max"] < 0.05
+        text = (tmp_path / "outcome.txt").read_text()
+        for key, dt in stats.items():
+            assert f"{key}={dt:.12e}\n" in text
+        messages = [r.getMessage() for r in caplog.records if r.name == "kstensor.solver"]
+        assert f"{potential._BLOCKS} row blocks" in messages[0]
+        assert f"dt_median={stats['dt_median']:.3e}" in messages[-1]
+
+    def test_no_dt_stats_without_a_step(self, tmp_path):
+        cfg = small_config(chi=1e4, half_width=6.0, dt_min=1e-3, output_dir=str(tmp_path))
+        out = run(cfg)
+        assert out.steps == 0 and out.dt_stats == {}
+        assert "dt_median" not in (tmp_path / "outcome.txt").read_text()
+
+    def test_run_peak_memory_below_25_grids(self):
+        # a record's full solve (22.8 grids at 32^3) runs after the step's
+        # face speeds are freed, not beside them
+        cfg = small_config(chi=50.0, half_width=6.0, t_end=0.02, dt_max=0.005, diagnostics_every=2)
+        run(cfg)  # the kernel tables are cached outside the measurement
+        tracemalloc.start()
+        try:
+            out = run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.steps == 4 and len(out.records) == 3
+        assert peak <= 25 * 8 * 32**3
+
     def test_dt_limits_when_cfl_binds(self):
         cfg = small_config(
             chi=200.0,
@@ -635,3 +683,135 @@ diagnostics_every = 5
         for name in ("blowup", "global", "diffusion"):
             cfg = load_config(str(PRESETS / f"{name}.cfg"))
             cfg.validate()
+
+
+def perturbed_field(n):
+    grid = Grid3(n, 6.0)
+    noise = 1.0 + 0.1 * np.random.default_rng(n).random((n, n, n))
+    return DensityField(grid, gaussian_values(grid, 1.0, 0.8, (0.3, -0.2, 0.1)) * noise)
+
+
+def record_rows(out):
+    return repr([astuple(r) for r in out.records])  # repr: NaN entries compare equal
+
+
+def short_run(chi=30.0, matrix=np.eye(3)):
+    return run(
+        small_config(
+            matrix=np.array(matrix), chi=chi, n_cells=16, half_width=6.0,
+            initial=InitialData(kind="gaussian", mass=1.0, sigma=(0.8,) * 3),
+            t_end=0.02, dt_max=0.005, diagnostics_every=2,
+        )
+    )
+
+
+class TestRowBlocks:
+    """The passes between the FFTs give the same bits for any block count.
+
+    At 16^3, 3 blocks cut the cells 5/5/6 and the 32 spectrum rows 10/11/11.
+    """
+
+    @staticmethod
+    def with_blocks(monkeypatch, blocks, compute):
+        monkeypatch.setattr(potential, "_BLOCKS", blocks)
+        return compute()
+
+    @FACE_MATRICES
+    @pytest.mark.parametrize("blocks", [2, 3, 40])  # 40: more blocks than the 16 rows
+    def test_drift_and_advect(self, monkeypatch, matrix, blocks):
+        flux = FluxTensor.from_matrix(np.array(matrix))
+        u = perturbed_field(16)
+        h = u.grid.h
+
+        def passes():
+            bfaces, rate = sv._drift(sv.solve_potential_v(u), flux, 30.0, h)
+            return [*bfaces, rate, sv._advect(u.values, bfaces, 0.9 * h / rate, h)]
+
+        want = self.with_blocks(monkeypatch, 1, passes)
+        got = self.with_blocks(monkeypatch, blocks, passes)
+        assert len(got) == 5
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("nu", [0.1, 2.0])  # one sub-step, then 12
+    @pytest.mark.parametrize("blocks", [2, 3])
+    def test_diffuse(self, monkeypatch, nu, blocks):
+        u = perturbed_field(16)
+        dt = nu * u.grid.h ** 2
+
+        def diffuse():
+            return sv._diffuse(u.values, u.grid, dt)
+
+        want = self.with_blocks(monkeypatch, 1, diffuse)
+        np.testing.assert_array_equal(self.with_blocks(monkeypatch, blocks, diffuse), want)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("blocks", [2, 3])
+    def test_solves(self, monkeypatch, n, blocks):
+        u = perturbed_field(n)
+
+        def solves():
+            pot = sv.solve_potential_fast(u)
+            return [sv.solve_potential_v(u), pot.v, pot.gx, pot.gy, pot.gz]
+
+        want = self.with_blocks(monkeypatch, 1, solves)
+        for g, w in zip(self.with_blocks(monkeypatch, blocks, solves), want):
+            np.testing.assert_array_equal(g, w)
+
+    @FACE_MATRICES
+    @pytest.mark.parametrize("blocks", [2, 3])
+    def test_run_records(self, monkeypatch, matrix, blocks):
+        want = record_rows(self.with_blocks(monkeypatch, 1, lambda: short_run(matrix=matrix)))
+        assert record_rows(self.with_blocks(monkeypatch, blocks, lambda: short_run(matrix=matrix))) == want
+
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(potential, "_BLOCKS", 1)
+        potential._pool.cache_clear()
+        before = set(threading.enumerate())
+        short_run()
+        assert potential._pool.cache_info().currsize == 0
+        assert not set(threading.enumerate()) - before
+
+
+class TestConcurrency:
+    def test_runs_on_two_threads_match_serial_runs(self, monkeypatch):
+        # 3 blocks from each of 2 runs: more workers than CPUs, switching often
+        monkeypatch.setattr(potential, "_BLOCKS", 3)
+        chis = (30.0, 60.0)
+        serial = [record_rows(short_run(chi)) for chi in chis]
+        results = [None, None]
+
+        def work(i):
+            results[i] = record_rows(short_run(chis[i]))
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == serial
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_builds_its_own_pool(self, monkeypatch):
+        monkeypatch.setattr(potential, "_BLOCKS", 2)
+        u = perturbed_field(16)
+        want = sv.solve_potential_fast(u).v  # the parent's pool has run
+
+        def child():
+            if not np.array_equal(sv.solve_potential_fast(u).v, want):
+                raise SystemExit(1)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=60)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+            pytest.fail("the forked child's solve did not finish in 60 s")
+        assert proc.exitcode == 0
