@@ -9,6 +9,11 @@ gradient bound, and the two sides of the moment-evolution inequality:
     dw/dt  =  2 Tr(P^(-1)) M + 2 chi * integral of x . (U grad v) u     (identity)
     dw/dt <=  2 Tr(P^(-1)) M - c(chi, kappa, M, n) lambda_min^(n/2-1) w^(1-n/2)
 
+The moments are contractions of two 3x3 moment matrices,
+S_ij = integral of u x_i x_j and G_ij = integral of u x_i d_j v:
+m = tr S, w = sum of (P^(-1))_ij S_ij, and the identity's advective integral
+is sum of U_ij G_ij. A record forms each matrix once.
+
 Records of all tracked quantities serialize as CSV rows with a fixed column
 order so downstream tooling can rely on positions.
 """
@@ -16,7 +21,7 @@ order so downstream tooling can rely on positions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as record_fields
 
 import numpy as np
 
@@ -43,8 +48,39 @@ def _require_finite(**values: float) -> None:
             raise BadParameter(f"{name} must be finite, got {value}")
 
 
+def _solved(u: DensityField, pot: PotentialField | None) -> PotentialField:
+    """``pot`` if it was solved on u's grid; the fast solve of ``u`` if it is None."""
+    if pot is None:
+        return solve_potential_fast(u)
+    if pot.grid != u.grid:
+        raise BadParameter(f"potential solved on {pot.grid}, density on {u.grid}")
+    return pot
+
+
+def _moment_matrix(u: DensityField, fields: tuple[np.ndarray, ...]) -> np.ndarray:
+    """M_ij = h^3 sum of u x_i f_j over the cells, for three fields f_j that broadcast to u.
+
+    Each field makes one product u f_j; its sum over the two axes other than
+    i is dotted with the cell centres x_i, so no coordinate mesh is made. The
+    y and z sums come from the product's (y, z) plane, summed over x once.
+    """
+    c = u.grid.axis_centers()
+    m = np.empty((3, 3))
+    for j, f in enumerate(fields):
+        prod = u.values * f
+        plane = prod.sum(axis=0)
+        m[:, j] = prod.sum(axis=(1, 2)) @ c, plane.sum(axis=1) @ c, plane.sum(axis=0) @ c
+    return u.grid.cell_volume * m
+
+
+def _position_moments(u: DensityField) -> np.ndarray:
+    """S_ij = integral of u x_i x_j, from the broadcast axis centres."""
+    c = u.grid.axis_centers()
+    return _moment_matrix(u, (c[:, None, None], c[None, :, None], c[None, None, :]))
+
+
 def weighted_moment(u: DensityField, b: np.ndarray) -> float:
-    """Integral of u(x) (x . B x) for a symmetric positive-definite B."""
+    """Integral of u(x) (x . B x) = sum of B_ij S_ij for a symmetric positive-definite B."""
     b = np.asarray(b, dtype=float)
     if b.shape != (3, 3) or not np.isfinite(b).all() or (
         np.linalg.norm(b - b.T) > 1e-12 * max(np.linalg.norm(b), 1.0)
@@ -53,17 +89,12 @@ def weighted_moment(u: DensityField, b: np.ndarray) -> float:
     eigs = np.linalg.eigvalsh(0.5 * (b + b.T))
     if eigs[0] <= 0.0:
         raise NotSPD(f"weight matrix must be positive definite (min eig {eigs[0]:.3e})")
-    x, y, z = u.grid.meshes()
-    quad = (
-        b[0, 0] * x * x + b[1, 1] * y * y + b[2, 2] * z * z
-        + 2.0 * (b[0, 1] * x * y + b[0, 2] * x * z + b[1, 2] * y * z)
-    )
-    return float(u.grid.cell_volume * np.sum(u.values * quad))
+    return float(np.sum(b * _position_moments(u)))
 
 
 def second_moment(u: DensityField) -> float:
-    """Integral of u(x) |x|^2 (weighted moment with B = I)."""
-    return float(u.grid.cell_volume * np.sum(u.values * u.grid.radius_squared()))
+    """Integral of u(x) |x|^2 = tr S (weighted moment with B = I)."""
+    return float(np.trace(_position_moments(u)))
 
 
 def lq_norm(u: DensityField, q: float) -> float:
@@ -86,10 +117,10 @@ def boundary_mass_fraction(u: DensityField) -> float:
 def interaction_integral(u: DensityField, pot: PotentialField | None = None) -> float:
     """J = double integral of u(x) u(y) |x-y|^(2-n) via J = n(n-2) omega_n * (u, v).
 
-    Uses the fast potential solver unless a solved PotentialField is supplied.
+    Uses the fast potential solver unless a PotentialField solved on u's grid
+    is supplied.
     """
-    if pot is None:
-        pot = solve_potential_fast(u)
+    pot = _solved(u, pot)
     n = 3
     scale = n * (n - 2) * unit_ball_volume(n)
     return float(scale * u.grid.cell_volume * np.sum(u.values * pot.v))
@@ -147,20 +178,13 @@ def moment_rhs_identity(
 ) -> float:
     """Exact evolution rate of the weighted moment:
 
-    2 Tr(P^(-1)) M + 2 chi * integral of x . (U grad v) u.
+    2 Tr(P^(-1)) M + 2 chi * integral of x . (U grad v) u,
+
+    whose advective integral is the sum of U_ij G_ij.
     """
-    m_tot = u.mass
-    if pot is None:
-        pot = solve_potential_fast(u)
-    ux, uy, uz = flux.u_orth[0], flux.u_orth[1], flux.u_orth[2]
-    rot_gx = ux[0] * pot.gx + ux[1] * pot.gy + ux[2] * pot.gz
-    rot_gy = uy[0] * pot.gx + uy[1] * pot.gy + uy[2] * pot.gz
-    rot_gz = uz[0] * pot.gx + uz[1] * pot.gy + uz[2] * pot.gz
-    x, y, z = u.grid.meshes()
-    advective = float(
-        u.grid.cell_volume * np.sum(u.values * (x * rot_gx + y * rot_gy + z * rot_gz))
-    )
-    return 2.0 * flux.trace_pinv * m_tot + 2.0 * chi * advective
+    pot = _solved(u, pot)
+    advective = float(np.sum(flux.u_orth * _moment_matrix(u, (pot.gx, pot.gy, pot.gz))))
+    return 2.0 * flux.trace_pinv * u.mass + 2.0 * chi * advective
 
 
 def aggregation_coefficient(flux: FluxTensor, chi: float, n: int = 3) -> float:
@@ -217,28 +241,13 @@ def gradv_sup_bound(
 # diagnostics records
 # ---------------------------------------------------------------------------
 
-CSV_COLUMNS = (
-    "t",
-    "mass",
-    "m2",
-    "w",
-    "J",
-    "linf",
-    "lq",
-    "gradv_sup",
-    "dwdt_measured",
-    "dwdt_rhs",
-    "dwdt_bound",
-    "boundary_mass_fraction",
-)
-
 # a record's moments are trusted only while truncation stays below this
 BOUNDARY_VALID_LIMIT = 1e-4
 
 
 @dataclass
 class DiagnosticsRecord:
-    """One time sample of every tracked functional."""
+    """One time sample of every tracked functional; the field order is the CSV column order."""
 
     t: float
     mass: float
@@ -262,6 +271,9 @@ class DiagnosticsRecord:
         return ",".join(f"{v:.12e}" for v in vals)
 
 
+CSV_COLUMNS = tuple(f.name for f in record_fields(DiagnosticsRecord))
+
+
 def compute_record(
     u: DensityField,
     flux: FluxTensor,
@@ -269,48 +281,38 @@ def compute_record(
     t: float,
     pot: PotentialField | None = None,
 ) -> DiagnosticsRecord:
-    """Populate a full diagnostics record from the current field state."""
-    if pot is None:
-        pot = solve_potential_fast(u)
+    """Populate a full diagnostics record from the current field state.
+
+    S is formed once: m2 and w are its trace and its contraction with P^(-1).
+    """
+    pot = _solved(u, pot)
     m_tot = u.mass
-    m2 = second_moment(u)
-    w = weighted_moment(u, flux.p_inv)
-    j = interaction_integral(u, pot=pot)
-    linf = float(u.values.max())
-    lq = lq_norm(u, 1.5)
-    grad_sup = float(pot.gradient_magnitude().max())
-    rhs = moment_rhs_identity(u, flux, chi, pot=pot)
-    if w > 0.0 and m_tot > 0.0:
-        bound = moment_rhs_bound(w, m_tot, flux, chi)
-    else:
-        bound = math.nan
+    s = _position_moments(u)
+    w = float(np.sum(flux.p_inv * s))
     return DiagnosticsRecord(
         t=t,
         mass=m_tot,
-        m2=m2,
+        m2=float(np.trace(s)),
         w=w,
-        J=j,
-        linf=linf,
-        lq=lq,
-        gradv_sup=grad_sup,
+        J=interaction_integral(u, pot=pot),
+        linf=float(u.values.max()),
+        lq=lq_norm(u, 1.5),
+        gradv_sup=float(pot.gradient_magnitude().max()),
         dwdt_measured=math.nan,
-        dwdt_rhs=rhs,
-        dwdt_bound=bound,
+        dwdt_rhs=moment_rhs_identity(u, flux, chi, pot=pot),
+        dwdt_bound=moment_rhs_bound(w, m_tot, flux, chi) if w > 0.0 and m_tot > 0.0 else math.nan,
         boundary_mass_fraction=boundary_mass_fraction(u),
     )
 
 
 def fill_dwdt_measured(records: list[DiagnosticsRecord]) -> None:
     """Finite-difference dw/dt over adjacent samples; one-sided at the ends."""
-    k = len(records)
-    if k < 2:
+    if len(records) < 2:
         return
-    t = [r.t for r in records]
-    w = [r.w for r in records]
-    records[0].dwdt_measured = (w[1] - w[0]) / (t[1] - t[0])
-    records[-1].dwdt_measured = (w[-1] - w[-2]) / (t[-1] - t[-2])
-    for i in range(1, k - 1):
-        records[i].dwdt_measured = (w[i + 1] - w[i - 1]) / (t[i + 1] - t[i - 1])
+    last = len(records) - 1
+    for i, rec in enumerate(records):
+        lo, hi = records[max(i - 1, 0)], records[min(i + 1, last)]
+        rec.dwdt_measured = (hi.w - lo.w) / (hi.t - lo.t)
 
 
 def write_csv(records: list[DiagnosticsRecord], path: str) -> None:

@@ -202,7 +202,10 @@ class PotentialField:
     gz: np.ndarray
 
     def gradient_magnitude(self) -> np.ndarray:
-        return np.sqrt(self.gx**2 + self.gy**2 + self.gz**2)
+        mag = self.gx * self.gx  # summed in place: two grid arrays at most
+        mag += self.gy * self.gy
+        mag += self.gz * self.gz
+        return np.sqrt(mag, out=mag)
 
 
 class _KernelTables:

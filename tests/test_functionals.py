@@ -15,6 +15,7 @@ from kstensor.potential import (
     solve_potential_direct,
     solve_potential_fast,
 )
+from kstensor.verify import density_suite
 
 
 def gaussian_field(grid, mass=1.0, sigma=1.0, center=(0.0, 0.0, 0.0)):
@@ -24,6 +25,45 @@ def gaussian_field(grid, mass=1.0, sigma=1.0, center=(0.0, 0.0, 0.0)):
 def rescaled_gaussian(grid, eps, mass=1.0, sigma=1.0):
     """eps^-3 u0(x/eps) for a centered Gaussian: width shrinks to eps*sigma."""
     return gaussian_field(grid, mass=mass, sigma=eps * sigma)
+
+
+# reference moments: the quadratic forms summed over full coordinate meshes
+
+
+def mesh_second_moment(u):
+    return float(u.grid.cell_volume * np.sum(u.values * u.grid.radius_squared()))
+
+
+def mesh_weighted_moment(u, b):
+    x, y, z = u.grid.meshes()
+    quad = (
+        b[0, 0] * x * x + b[1, 1] * y * y + b[2, 2] * z * z
+        + 2.0 * (b[0, 1] * x * y + b[0, 2] * x * z + b[1, 2] * y * z)
+    )
+    return float(u.grid.cell_volume * np.sum(u.values * quad))
+
+
+def mesh_moment_rhs_identity(u, flux, chi, pot):
+    x, y, z = u.grid.meshes()
+    ux, uy, uz = flux.u_orth
+    rot_gx = ux[0] * pot.gx + ux[1] * pot.gy + ux[2] * pot.gz
+    rot_gy = uy[0] * pot.gx + uy[1] * pot.gy + uy[2] * pot.gz
+    rot_gz = uz[0] * pot.gx + uz[1] * pot.gy + uz[2] * pot.gz
+    advective = float(
+        u.grid.cell_volume * np.sum(u.values * (x * rot_gx + y * rot_gy + z * rot_gz))
+    )
+    return 2.0 * flux.trace_pinv * u.mass + 2.0 * chi * advective
+
+
+# a rotation, and a symmetric positive-definite factor times a rotation: not normal
+MOMENT_MATRICES = pytest.mark.parametrize(
+    "matrix",
+    [
+        rotation_z(math.pi / 4),
+        np.array([[1.3, 0.2, -0.1], [0.2, 0.9, 0.3], [-0.1, 0.3, 0.7]]) @ rotation_z(0.6),
+    ],
+    ids=["rotation", "spd_rotation"],
+)
 
 
 class TestMassAndMoments:
@@ -78,6 +118,57 @@ class TestMassAndMoments:
             flux = FluxTensor.from_matrix(a)
             w = fn.weighted_moment(u, flux.p_inv)
             assert flux.lam_min * m2 - 1e-12 <= w <= flux.lam_max * m2 + 1e-12
+
+
+class TestMomentMatrices:
+    @MOMENT_MATRICES
+    def test_contractions_match_mesh_forms(self, matrix):
+        flux = FluxTensor.from_matrix(matrix)
+        chi = 2.0
+        for name, u in density_suite(16, 4.0):
+            pot = solve_potential_fast(u)
+            pairs = [
+                (fn.second_moment(u), mesh_second_moment(u)),
+                (fn.weighted_moment(u, flux.p_inv), mesh_weighted_moment(u, flux.p_inv)),
+                (
+                    fn.moment_rhs_identity(u, flux, chi, pot=pot),
+                    mesh_moment_rhs_identity(u, flux, chi, pot),
+                ),
+            ]
+            for got, want in pairs:
+                assert abs(got - want) <= 1e-13 * abs(want), name
+            rec = fn.compute_record(u, flux, chi, 0.0, pot=pot)
+            # one code path: the record's moments are the public functions' bits
+            assert (rec.m2, rec.w, rec.dwdt_rhs) == tuple(got for got, _ in pairs), name
+
+    def test_record_peak_memory_below_three_grids(self):
+        u = gaussian_field(Grid3(32, 4.0), sigma=0.8)
+        flux = FluxTensor.from_matrix(rotation_z(math.pi / 4))
+        pot = solve_potential_fast(u)
+        tracemalloc.start()
+        try:
+            fn.compute_record(u, flux, 1.0, 0.0, pot=pot)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * u.values.nbytes
+
+    @pytest.mark.parametrize(
+        "other", [Grid3(16, 4.0), Grid3(32, 2.0)], ids=["half_width", "n_cells"]
+    )
+    def test_potential_from_another_grid_rejected(self, other):
+        u = gaussian_field(Grid3(16, 2.0), sigma=0.5)
+        pot = solve_potential_fast(gaussian_field(other, sigma=0.5))
+        flux = FluxTensor.from_matrix(rotation_z(math.pi / 4))
+        calls = [
+            lambda: fn.interaction_integral(u, pot=pot),
+            lambda: fn.biler_check(u, pot=pot),
+            lambda: fn.moment_rhs_identity(u, flux, 1.0, pot=pot),
+            lambda: fn.compute_record(u, flux, 1.0, 0.0, pot=pot),
+        ]
+        for call in calls:
+            with pytest.raises(BadParameter, match="potential solved on"):
+                call()
 
 
 class TestInteraction:
