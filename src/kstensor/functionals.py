@@ -102,7 +102,9 @@ def lq_norm(u: DensityField, q: float) -> float:
     if not 1.0 <= q < math.inf:
         raise BadParameter(f"q must be finite and >= 1, got {q}")
     linf = float(u.values.max()) or 1.0  # a zero field keeps its norm 0
-    return linf * float((u.grid.cell_volume * np.sum((u.values / linf) ** q)) ** (1.0 / q))
+    scaled = u.values / linf
+    scaled **= q  # in place: one grid temporary
+    return linf * float((u.grid.cell_volume * np.sum(scaled)) ** (1.0 / q))
 
 
 def boundary_mass_fraction(u: DensityField) -> float:
@@ -297,7 +299,7 @@ def compute_record(
         J=interaction_integral(u, pot=pot),
         linf=float(u.values.max()),
         lq=lq_norm(u, 1.5),
-        gradv_sup=float(pot.gradient_magnitude().max()),
+        gradv_sup=math.sqrt(pot.gradient_squared().max()),
         dwdt_measured=math.nan,
         dwdt_rhs=moment_rhs_identity(u, flux, chi, pot=pot),
         dwdt_bound=moment_rhs_bound(w, m_tot, flux, chi) if w > 0.0 and m_tot > 0.0 else math.nan,

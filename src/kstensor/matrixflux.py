@@ -26,7 +26,7 @@ from .errors import BadParameter, NotOrthogonal, SingularMatrix
 SINGULAR_RTOL = 1e-12
 # Orthogonality tolerance for canonical_spectrum input (Frobenius).
 ORTHO_TOL = 1e-10
-# Eigenvalues of U within this of +-1 (or of a conjugate partner) are snapped.
+# Eigenvalues of U within this of +-1 are snapped.
 SNAP_TOL = 1e-8
 # Margins below this are treated as the hypothesis boundary: reported not ok.
 BOUNDARY_TOL = 1e-10
@@ -76,7 +76,9 @@ def canonical_spectrum(u_orth: np.ndarray) -> tuple[list[float], list[float]]:
     Returns (angles, real_eigs) with angles in (0, pi) sorted ascending and
     real_eigs sorted descending; 2*len(angles) + len(real_eigs) == n.
 
-    Eigenvalues within SNAP_TOL of +-1 are classified as real. Raises
+    Eigenvalues within SNAP_TOL of +-1 are classified as real. LAPACK returns
+    a real matrix's complex eigenvalues in exact conjugate pairs, so each pair
+    gives one angle, from its member with positive imaginary part. Raises
     NotOrthogonal when ||u^T u - I||_F > ORTHO_TOL.
     """
     u_orth = np.asarray(u_orth, dtype=float)
@@ -85,32 +87,13 @@ def canonical_spectrum(u_orth: np.ndarray) -> tuple[list[float], list[float]]:
     if defect > ORTHO_TOL:
         raise NotOrthogonal(f"orthogonality defect {defect:.3e} exceeds {ORTHO_TOL:.0e}")
     eigs = np.linalg.eigvals(u_orth)
-    angles: list[float] = []
-    real_eigs: list[float] = []
-    used = np.zeros(len(eigs), dtype=bool)
-    for i, lam in enumerate(eigs):
-        if used[i]:
-            continue
-        used[i] = True
-        if abs(lam - 1.0) <= SNAP_TOL:
-            real_eigs.append(1.0)
-        elif abs(lam + 1.0) <= SNAP_TOL:
-            real_eigs.append(-1.0)
-        else:
-            # find and consume the conjugate partner
-            partner = None
-            for j in range(i + 1, len(eigs)):
-                if not used[j] and abs(eigs[j] - np.conj(lam)) <= SNAP_TOL:
-                    partner = j
-                    break
-            if partner is None:
-                raise NotOrthogonal(
-                    f"eigenvalue {lam} has no conjugate partner within {SNAP_TOL:.0e}"
-                )
-            used[partner] = True
-            angles.append(float(np.arctan2(abs(lam.imag), lam.real)))
+    real_eigs = [s for lam in eigs for s in (1.0, -1.0) if abs(lam - s) <= SNAP_TOL]
+    angles = [
+        float(np.arctan2(lam.imag, lam.real)) for lam in eigs
+        if lam.imag > 0.0 and min(abs(lam - 1.0), abs(lam + 1.0)) > SNAP_TOL
+    ]
     if 2 * len(angles) + len(real_eigs) != n:
-        raise NotOrthogonal("eigenvalue pairing failed to account for all eigenvalues")
+        raise NotOrthogonal(f"eigenvalues {eigs} do not pair into +-1 and conjugate pairs")
     return sorted(angles), sorted(real_eigs, reverse=True)
 
 

@@ -85,25 +85,25 @@ def unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
-def kernel_value(x, n: int = 3) -> float:
-    """Newtonian kernel K_n(x) = |x|^(2-n) / (n (n-2) omega_n), omega_n = |B_1(0)|."""
+def _kernel_radius(x, n: int) -> float:
+    """|x|, once n >= 3 and x != 0 are checked: K and grad K are singular at 0."""
     if n < 3:
         raise DomainError(f"kernel requires dimension n >= 3, got {n}")
     r = float(np.linalg.norm(np.asarray(x, dtype=float)))
     if r == 0.0:
         raise DomainError("kernel is singular at x = 0")
-    return r ** (2 - n) / (n * (n - 2) * unit_ball_volume(n))
+    return r
+
+
+def kernel_value(x, n: int = 3) -> float:
+    """Newtonian kernel K_n(x) = |x|^(2-n) / (n (n-2) omega_n), omega_n = |B_1(0)|."""
+    return _kernel_radius(x, n) ** (2 - n) / (n * (n - 2) * unit_ball_volume(n))
 
 
 def grad_kernel(x, n: int = 3) -> np.ndarray:
     """Gradient of the Newtonian kernel: -x / (n omega_n |x|^n)."""
-    if n < 3:
-        raise DomainError(f"kernel requires dimension n >= 3, got {n}")
     x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
-        raise DomainError("kernel gradient is singular at x = 0")
-    return -x / (n * unit_ball_volume(n) * r**n)
+    return -x / (n * unit_ball_volume(n) * _kernel_radius(x, n) ** n)
 
 
 @dataclass(frozen=True)
@@ -140,10 +140,14 @@ class Grid3:
         return np.meshgrid(c, c, c, indexing="ij")
 
     def radius_squared(self) -> np.ndarray:
-        c = self.axis_centers()
-        return (
-            (c**2)[:, None, None] + (c**2)[None, :, None] + (c**2)[None, None, :]
-        )
+        return _squared_offset(self)
+
+
+def _squared_offset(grid: Grid3, center=(0.0, 0.0, 0.0), scale=(1.0, 1.0, 1.0)) -> np.ndarray:
+    """Sum of ((x_i - center_i) / scale_i)^2 at the cell centres, broadcast from the axes."""
+    c, x0 = grid.axis_centers(), np.asarray(center, dtype=float)
+    d = [((c - x0[i]) / scale[i]) ** 2 for i in range(3)]
+    return d[0][:, None, None] + d[1][None, :, None] + d[2][None, None, :]
 
 
 def gaussian_values(grid: Grid3, mass: float, sigma, center=(0.0, 0.0, 0.0)) -> np.ndarray:
@@ -152,21 +156,14 @@ def gaussian_values(grid: Grid3, mass: float, sigma, center=(0.0, 0.0, 0.0)) -> 
     sigma is one width or three (per axis); center is a point in the box.
     """
     sig = np.asarray(sigma, dtype=float) * np.ones(3)
-    c = np.asarray(center, dtype=float)
-    x, y, z = grid.meshes()
     norm = mass / ((2.0 * math.pi) ** 1.5 * float(np.prod(sig)))
-    return norm * np.exp(
-        -0.5 * (((x - c[0]) / sig[0]) ** 2 + ((y - c[1]) / sig[1]) ** 2 + ((z - c[2]) / sig[2]) ** 2)
-    )
+    return norm * np.exp(-0.5 * _squared_offset(grid, center, sig))
 
 
 def ball_values(grid: Grid3, mass: float, radius: float, center=(0.0, 0.0, 0.0)) -> np.ndarray:
     """Cell-centre values of the mass-M uniform ball of the given radius."""
-    c = np.asarray(center, dtype=float)
-    x, y, z = grid.meshes()
     rho = mass / (4.0 / 3.0 * math.pi * radius**3)
-    r2 = (x - c[0]) ** 2 + (y - c[1]) ** 2 + (z - c[2]) ** 2
-    return np.where(r2 <= radius * radius, rho, 0.0)
+    return np.where(_squared_offset(grid, center) <= radius * radius, rho, 0.0)
 
 
 @dataclass
@@ -201,11 +198,16 @@ class PotentialField:
     gy: np.ndarray
     gz: np.ndarray
 
+    def gradient_squared(self) -> np.ndarray:
+        """|grad v|^2 per cell, summed in place: two grid arrays at most."""
+        sq = self.gx * self.gx
+        sq += self.gy * self.gy
+        sq += self.gz * self.gz
+        return sq
+
     def gradient_magnitude(self) -> np.ndarray:
-        mag = self.gx * self.gx  # summed in place: two grid arrays at most
-        mag += self.gy * self.gy
-        mag += self.gz * self.gz
-        return np.sqrt(mag, out=mag)
+        sq = self.gradient_squared()
+        return np.sqrt(sq, out=sq)
 
 
 class _KernelTables:
@@ -269,18 +271,15 @@ _tables_cache: dict[int, _KernelTables] = {}
 
 
 def _tables_for(n: int) -> _KernelTables:
-    tab = _tables_cache.get(n)
-    if tab is None:
-        with _tables_lock:
-            tab = _tables_cache.get(n)
-            if tab is None:
-                t0 = time.perf_counter()
-                tab = _KernelTables(n)
-                logger.info(
-                    "kernel tables for n_cells=%d: %d bytes, built in %.1f ms",
-                    n, tab.nbytes, 1e3 * (time.perf_counter() - t0),
-                )
-                _tables_cache[n] = tab
+    with _tables_lock:
+        tab = _tables_cache.get(n)
+        if tab is None:
+            t0 = time.perf_counter()
+            tab = _tables_cache[n] = _KernelTables(n)
+            logger.info(
+                "kernel tables for n_cells=%d: %d bytes, built in %.1f ms",
+                n, tab.nbytes, 1e3 * (time.perf_counter() - t0),
+            )
     return tab
 
 

@@ -14,8 +14,8 @@ Each step splits the dynamics:
    conservative and maps non-negative data to non-negative data, with no
    clamp. The CFL-limited steps of a collapse run take a single sub-step.
 
-`step` and `run` share one drift kernel and one advance, so a single step
-runs the code of a run's step. Their whole-grid passes (centred differences,
+`step` and `run` share one drift kernel, one advection and one diffusion,
+so a step runs a run's code. Their whole-grid passes (centred differences,
 face speeds, outflow rate, advection, diffusion) run in one block per usable
 CPU, cut along an axis they do not difference, bitwise equal for any count.
 The step size adapts to the advective CFL limit; runs stop at t_end, on the
@@ -247,8 +247,13 @@ def _drift(
     return bfaces, float(max(maxima[2]))
 
 
-def _advect(u: np.ndarray, bfaces: list[np.ndarray], dt: float, h: float) -> np.ndarray:
-    """Flux-form upwind transport; wall faces carry no flux, so mass telescopes."""
+def _advect(u: np.ndarray, bfaces: list[np.ndarray] | None, dt: float, h: float) -> np.ndarray:
+    """Flux-form upwind transport; wall faces carry no flux, so mass telescopes.
+
+    With no drift faces (None) u is returned as it is.
+    """
+    if bfaces is None:
+        return u
     un = u.copy()
 
     def transport(lo: int, hi: int, ax: int) -> None:
@@ -289,14 +294,6 @@ def _diffuse(values: np.ndarray, grid: Grid3, dt: float) -> np.ndarray:
     return values
 
 
-def _advance(
-    values: np.ndarray, bfaces: list[np.ndarray] | None, grid: Grid3, dt: float
-) -> np.ndarray:
-    """Upwind advection by the drift faces (None: no drift), then diffusion, over dt."""
-    adv = values if bfaces is None else _advect(values, bfaces, dt, grid.h)
-    return _diffuse(adv, grid, dt)
-
-
 def step(u: DensityField, flux: FluxTensor, chi: float, dt: float) -> DensityField:
     """One advection-diffusion step of size dt, by the kernel that `run` uses.
 
@@ -314,7 +311,7 @@ def step(u: DensityField, flux: FluxTensor, chi: float, dt: float) -> DensityFie
         raise CflViolation(
             f"dt = {dt:.3e} exceeds the advective limit {h / rate:.3e} (cfl 1.0)"
         )
-    return DensityField(u.grid, _advance(u.values, bfaces, u.grid, dt))
+    return DensityField(u.grid, _diffuse(_advect(u.values, bfaces, dt, h), u.grid, dt))
 
 
 def run(config: SimConfig) -> SimOutcome:
@@ -382,7 +379,7 @@ def run(config: SimConfig) -> SimOutcome:
         if land:
             dt, limit = remaining, "land"
 
-        vals = _advance(u.values, bfaces, grid, dt)
+        vals = _diffuse(_advect(u.values, bfaces, dt, h), grid, dt)
         if not np.all(np.isfinite(vals)):
             status = "Aborted"
             message = "non-finite values detected in the density field"
@@ -414,7 +411,7 @@ def run(config: SimConfig) -> SimOutcome:
             )
             break
 
-    if not records or records[-1].t < t:
+    if records[-1].t < t:
         _record(u, t)
     fill_dwdt_measured(records)
     growth = float(u.values.max()) / sup0

@@ -73,15 +73,22 @@ class BlowupVerdict:
     f_w0: float  # moment ODE rate at the conservative initial moment
 
 
-def admissibility(m0: float, m_tot: float, flux: FluxTensor, chi: float, n: int = 3) -> BlowupVerdict:
-    """Decide m0 <= C_Bl M^(n/(n-2)) and bound the blow-up time when it holds."""
+def _threshold(
+    m0: float, m_tot: float, flux: FluxTensor, chi: float, n: int, strict: bool
+) -> tuple[float, float]:
+    """(C_Bl, C_Bl M^(n/(n-2))) once m0 >= 0 (> 0 if strict) and M > 0 are checked."""
     _require_finite(moment=m0, mass=m_tot)
-    if m0 < 0.0:
-        raise NonPositiveMoment(f"initial moment must be >= 0, got {m0}")
+    if m0 < 0.0 or (strict and m0 == 0.0):
+        raise NonPositiveMoment(f"initial moment must be {'>' if strict else '>='} 0, got {m0}")
     if m_tot <= 0.0:
         raise NonPositiveMoment(f"mass must be positive, got {m_tot}")
     c_bl = blowup_constant(flux, chi, n)
-    threshold = c_bl * m_tot ** (n / (n - 2.0))
+    return c_bl, c_bl * m_tot ** (n / (n - 2.0))
+
+
+def admissibility(m0: float, m_tot: float, flux: FluxTensor, chi: float, n: int = 3) -> BlowupVerdict:
+    """Decide m0 <= C_Bl M^(n/(n-2)) and bound the blow-up time when it holds."""
+    c_bl, threshold = _threshold(m0, m_tot, flux, chi, n, strict=False)
     margin = threshold - m0
     admissible = m0 <= threshold * (1.0 + ADMISSIBLE_RTOL)
     w_hi = flux.lam_max * m0
@@ -96,13 +103,7 @@ def rescale_epsilon(m0: float, m_tot: float, flux: FluxTensor, chi: float, n: in
     The rescaling preserves mass and scales the moment by eps^2, so
     eps = sqrt(C_Bl M^(n/(n-2)) / m0).
     """
-    _require_finite(moment=m0, mass=m_tot)
-    if m0 <= 0.0:
-        raise NonPositiveMoment(f"initial moment must be positive, got {m0}")
-    if m_tot <= 0.0:
-        raise NonPositiveMoment(f"mass must be positive, got {m_tot}")
-    c_bl = blowup_constant(flux, chi, n)
-    return float(math.sqrt(c_bl * m_tot ** (n / (n - 2.0)) / m0))
+    return float(math.sqrt(_threshold(m0, m_tot, flux, chi, n, strict=True)[1] / m0))
 
 
 def global_delta(
@@ -130,6 +131,12 @@ def global_delta(
     )
 
 
+def _compatibility_sides(u: DensityField, n: int, c_n: float) -> tuple[float, float]:
+    """||u||_{L^{n/2}} and C_n M (M / m0)^((n-2)/2)."""
+    m_tot = u.mass
+    return lq_norm(u, n / 2.0), c_n * m_tot * (m_tot / second_moment(u)) ** ((n - 2.0) / 2.0)
+
+
 def compatibility_check(
     u0: DensityField, n: int = 3, c_n: float = 1.0
 ) -> tuple[float, float, bool]:
@@ -146,20 +153,15 @@ def compatibility_check(
     _require_finite(c_n=c_n)
     if c_n <= 0.0:
         raise BadParameter(f"c_n must be positive, got {c_n}")
-    m_tot = u0.mass
-    if m_tot <= 0.0:
+    if u0.mass <= 0.0:
         raise ZeroField("compatibility check requires a nonzero density")
-    m0 = second_moment(u0)
-    lhs = lq_norm(u0, n / 2.0)
-    rhs = c_n * m_tot * (m_tot / m0) ** ((n - 2.0) / 2.0)
+    lhs, rhs = _compatibility_sides(u0, n, c_n)
 
     # rescaling self-check: shrink the grid by eps and scale values by eps^(-3);
     # cell centers map exactly, so both sides rescale without interpolation
     eps = 0.5
     grid2 = Grid3(u0.grid.n_cells, eps * u0.grid.half_width)
-    u2 = DensityField(grid2, u0.values * eps ** (-3))
-    lhs2 = lq_norm(u2, n / 2.0)
-    rhs2 = c_n * u2.mass * (u2.mass / second_moment(u2)) ** ((n - 2.0) / 2.0)
+    lhs2, rhs2 = _compatibility_sides(DensityField(grid2, u0.values * eps ** (-3)), n, c_n)
     ratio, ratio2 = lhs / rhs, lhs2 / rhs2
     if abs(ratio2 / ratio - 1.0) > 1e-6:
         raise AssertionError(
@@ -183,8 +185,7 @@ def calibrate_cn(
     for rho in aspect_ratios:
         grid = Grid3(n_cells, 7.0 * max(1.0, rho))
         u = DensityField(grid, gaussian_values(grid, 1.0, (1.0, 1.0, rho)))
-        m_tot = u.mass
-        ratio = lq_norm(u, 1.5) / (m_tot * (m_tot / second_moment(u)) ** 0.5)
-        samples.append((float(rho), float(ratio)))
+        lhs, rhs = _compatibility_sides(u, 3, 1.0)
+        samples.append((float(rho), float(lhs / rhs)))
     inf_ratio = min(r for _, r in samples)
     return float(inf_ratio), samples

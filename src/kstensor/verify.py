@@ -142,7 +142,7 @@ def suite_gradv_bound(battery: Battery) -> list[CaseResult]:
     """Measured max |grad v| never exceeds the optimized analytic bound."""
     out = []
     for name, u, pot in battery:
-        measured = float(pot.gradient_magnitude().max())
+        measured = math.sqrt(pot.gradient_squared().max())
         bound, _ = fn.gradv_sup_bound(u)
         out.append(CaseResult("gradv-bound", name, bound / measured - 1.0, measured <= bound))
     return out

@@ -400,6 +400,24 @@ class TestLqNorm:
     def test_zero_field(self):
         assert fn.lq_norm(DensityField(Grid3(16, 4.0), np.zeros((16, 16, 16))), 2.0) == 0.0
 
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.7, 300.0])
+    def test_bitwise_as_scaled_power(self, q):
+        u = gaussian_field(Grid3(32, 4.0), sigma=(0.5, 0.7, 1.0), center=(0.8, 0, 0))
+        linf = float(u.values.max())
+        ref = linf * float((u.grid.cell_volume * np.sum((u.values / linf) ** q)) ** (1.0 / q))
+        assert fn.lq_norm(u, q) == ref
+
+    def test_peak_memory_one_grid(self):
+        # the scaled field is raised to q in place: one grid temporary
+        u = gaussian_field(Grid3(32, 4.0), sigma=0.8)
+        tracemalloc.start()
+        try:
+            fn.lq_norm(u, 1.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * u.values.nbytes
+
 
 class TestNonFinite:
     # a NaN or infinite parameter gets the error the function raises for a bad value
@@ -479,6 +497,12 @@ class TestDiagnostics:
         assert frac == pytest.approx(1.0 - (12 / 16) ** 3, rel=1e-12)
         rec_like = fn.compute_record(u, FluxTensor.from_matrix(np.eye(3)), 0.0, 0.0)
         assert not rec_like.moments_valid
+
+    def test_gradv_sup_bitwise_as_magnitude_max(self):
+        u = gaussian_field(Grid3(32, 4.0), sigma=0.6, center=(0.5, -0.3, 0.2))
+        pot = solve_potential_fast(u)
+        rec = fn.compute_record(u, FluxTensor.from_matrix(np.eye(3)), 1.0, 0.0, pot=pot)
+        assert rec.gradv_sup == float(pot.gradient_magnitude().max())
 
     def test_boundary_fraction_zero_for_compact(self):
         u = gaussian_field(Grid3(32, 8.0), sigma=0.5)

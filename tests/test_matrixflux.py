@@ -115,7 +115,50 @@ class TestPolarDecompose:
             np.testing.assert_array_equal(got.p, np.ldexp(ref.p, power))
 
 
+def paired_spectrum(u_orth):
+    """Reference canonical spectrum: each complex eigenvalue searches for its conjugate partner."""
+    eigs = np.linalg.eigvals(np.asarray(u_orth, dtype=float))
+    angles, real_eigs = [], []
+    used = np.zeros(len(eigs), dtype=bool)
+    for i, lam in enumerate(eigs):
+        if used[i]:
+            continue
+        used[i] = True
+        if abs(lam - 1.0) <= 1e-8:
+            real_eigs.append(1.0)
+        elif abs(lam + 1.0) <= 1e-8:
+            real_eigs.append(-1.0)
+        else:
+            partner = next(
+                j for j in range(i + 1, len(eigs))
+                if not used[j] and abs(eigs[j] - np.conj(lam)) <= 1e-8
+            )
+            used[partner] = True
+            angles.append(float(np.arctan2(abs(lam.imag), lam.real)))
+    return sorted(angles), sorted(real_eigs, reverse=True)
+
+
+def random_orthogonal(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
 class TestCanonicalSpectrum:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_random_orthogonal_bitwise_as_pairing(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            q = random_orthogonal(rng, n)
+            assert canonical_spectrum(q) == paired_spectrum(q)
+
+    @pytest.mark.parametrize(
+        "u_orth",
+        [rotation_z(1e-9), rotation_z(math.pi - 1e-9), np.diag([1.0, 1.0, -1.0])],
+        ids=["rotation_1e-9", "rotation_pi_minus_1e-9", "reflection"],
+    )
+    def test_snapped_cases_bitwise_as_pairing(self, u_orth):
+        assert canonical_spectrum(u_orth) == paired_spectrum(u_orth)
+
     def test_identity(self):
         angles, real_eigs = canonical_spectrum(np.eye(3))
         assert angles == []

@@ -15,6 +15,7 @@ from kstensor.potential import (
     Grid3,
     _crop_irfftn,
     _pad_rfftn,
+    ball_values,
     gaussian_values,
     grad_kernel,
     kernel_value,
@@ -93,6 +94,65 @@ class TestGrid3:
         for half_width in (math.inf, 1e308, 1e200):  # h or h^3 overflows
             with pytest.raises(ValueError, match=r"\bfinite"):
                 Grid3(16, half_width)
+
+
+# reference samplers: the same formulas evaluated on full coordinate meshes
+
+
+def mesh_gaussian_values(grid, mass, sigma, center=(0.0, 0.0, 0.0)):
+    sig = np.asarray(sigma, dtype=float) * np.ones(3)
+    c = np.asarray(center, dtype=float)
+    x, y, z = grid.meshes()
+    norm = mass / ((2.0 * math.pi) ** 1.5 * float(np.prod(sig)))
+    return norm * np.exp(
+        -0.5 * (((x - c[0]) / sig[0]) ** 2 + ((y - c[1]) / sig[1]) ** 2 + ((z - c[2]) / sig[2]) ** 2)
+    )
+
+
+def mesh_ball_values(grid, mass, radius, center=(0.0, 0.0, 0.0)):
+    c = np.asarray(center, dtype=float)
+    x, y, z = grid.meshes()
+    rho = mass / (4.0 / 3.0 * math.pi * radius**3)
+    r2 = (x - c[0]) ** 2 + (y - c[1]) ** 2 + (z - c[2]) ** 2
+    return np.where(r2 <= radius * radius, rho, 0.0)
+
+
+CENTERS = pytest.mark.parametrize(
+    "center", [(0.0, 0.0, 0.0), (0.8, 0, 0), (1, 0, -1), (0.5, -0.3, 0.2), np.array([-0.25, 0.6, 0.1])]
+)
+
+
+class TestSamplers:
+    grid = Grid3(32, 4.0)
+
+    @CENTERS
+    @pytest.mark.parametrize("sigma", [1.0, 0.4, (0.5, 0.7, 1.0), np.array([0.3, 0.3, 1.5])])
+    def test_gaussian_bitwise_as_mesh(self, center, sigma):
+        np.testing.assert_array_equal(
+            gaussian_values(self.grid, 1.3, sigma, center),
+            mesh_gaussian_values(self.grid, 1.3, sigma, center),
+        )
+
+    @CENTERS
+    @pytest.mark.parametrize("radius", [0.3, 1.0, 1.5])
+    def test_ball_bitwise_as_mesh(self, center, radius):
+        np.testing.assert_array_equal(
+            ball_values(self.grid, 0.7, radius, center),
+            mesh_ball_values(self.grid, 0.7, radius, center),
+        )
+
+    def test_radius_squared_bitwise_as_mesh(self):
+        x, y, z = self.grid.meshes()
+        np.testing.assert_array_equal(self.grid.radius_squared(), x**2 + y**2 + z**2)
+
+    def test_gaussian_peak_memory_below_three_grids(self):
+        tracemalloc.start()
+        try:
+            vals = gaussian_values(self.grid, 1.0, (0.5, 0.7, 1.0), (0.8, 0, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * vals.nbytes
 
 
 class TestDensityField:
@@ -444,6 +504,11 @@ class TestGaussianClosedForm:
         gm = self.pot.gradient_magnitude()
         err = np.max(np.abs(gm - self.g_exact)) / self.g_exact.max()
         assert err <= 1e-2
+
+    def test_magnitude_is_root_of_squared(self):
+        sq = self.pot.gradient_squared()
+        np.testing.assert_array_equal(sq, self.pot.gx**2 + self.pot.gy**2 + self.pot.gz**2)
+        np.testing.assert_array_equal(self.pot.gradient_magnitude(), np.sqrt(sq))
 
     def test_gauss_law_radial_consistency(self):
         gm = self.pot.gradient_magnitude().ravel()
