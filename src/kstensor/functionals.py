@@ -48,6 +48,12 @@ def _require_finite(**values: float) -> None:
             raise BadParameter(f"{name} must be finite, got {value}")
 
 
+def _require_dimension(n: int) -> None:
+    """BadParameter unless n >= 3, the dimensions the analysis layer covers."""
+    if n < 3:
+        raise BadParameter(f"dimension must be >= 3, got {n}")
+
+
 def _solved(u: DensityField, pot: PotentialField | None) -> PotentialField:
     """``pot`` if it was solved on u's grid; the fast solve of ``u`` if it is None."""
     if pot is None:
@@ -226,6 +232,7 @@ def gradv_sup_bound(
     gamma=None selects the minimizer gamma* = ((n-1) M / (n omega_n ||u||_inf))^(1/n).
     Returns (bound, gamma_used).
     """
+    _require_dimension(n)
     linf = float(u.values.max())
     m_tot = u.mass
     if linf <= 0.0 or m_tot <= 0.0:

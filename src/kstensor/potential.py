@@ -135,10 +135,6 @@ class Grid3:
     def axis_centers(self) -> np.ndarray:
         return (np.arange(self.n_cells) + 0.5) * self.h - self.half_width
 
-    def meshes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        c = self.axis_centers()
-        return np.meshgrid(c, c, c, indexing="ij")
-
     def radius_squared(self) -> np.ndarray:
         return _squared_offset(self)
 
@@ -179,7 +175,7 @@ class DensityField:
         if self.values.shape != (n, n, n):
             raise ValueError(f"values shape {self.values.shape} != grid {(n, n, n)}")
         if not np.all(np.isfinite(self.values)):
-            raise ValueError("density contains non-finite values")
+            raise ValueError("non-finite values detected in the density field")
         if self.values.min() < 0.0:
             raise ValueError(f"density must be non-negative (min = {self.values.min():.3e})")
 

@@ -108,6 +108,8 @@ class SimConfig:
         for name, value in numbers.items():
             if value is not None and not np.all(np.isfinite(value)):
                 raise ConfigInvalid(f"{name} must be finite, got {value}")
+            if name in ("sigma", "center") and np.shape(value) != (3,):
+                raise ConfigInvalid(f"{name} must have 3 components, got {value}")
         if self.chi < 0.0:
             raise ConfigInvalid(f"chi must be >= 0, got {self.chi}")
         if not (self.t_end > 0.0):
@@ -380,14 +382,14 @@ def run(config: SimConfig) -> SimOutcome:
             dt, limit = remaining, "land"
 
         vals = _diffuse(_advect(u.values, bfaces, dt, h), grid, dt)
-        if not np.all(np.isfinite(vals)):
-            status = "Aborted"
-            message = "non-finite values detected in the density field"
+        try:  # DensityField rejects a non-finite value (the step keeps u >= 0)
+            u = DensityField(grid, vals)
+        except ValueError as exc:
+            status, message = "Aborted", str(exc)
             logger.error("aborting at t=%.6g: %s", t, message)
             break
-        u = DensityField(grid, vals)
         v = bfaces = None  # freed before a record's full solve
-        min_density = min(min_density, float(vals.min()))
+        min_density = min(min_density, float(u.values.min()))
         t = stop if land else t + dt
         steps += 1
         dt_limits[limit] += 1
@@ -501,13 +503,8 @@ def parse_config(text: str, base_dir: str = ".") -> SimConfig:
             if key not in kv:
                 raise ConfigInvalid(f"missing required key {key!r}")
         ini = {key: conv(kv[key]) for key, conv in _INITIAL_KEYS.items() if key in kv}
-        if "sigma" in ini:
-            if len(ini["sigma"]) == 1:
-                ini["sigma"] *= 3
-            elif len(ini["sigma"]) != 3:
-                raise ConfigInvalid("sigma must have 1 or 3 components")
-        if "center" in ini and len(ini["center"]) != 3:
-            raise ConfigInvalid("center must have 3 components")
+        if len(ini.get("sigma", ())) == 1:  # one width for all three axes
+            ini["sigma"] *= 3
         if "init_file" in kv:
             ini["path"] = os.path.join(base_dir, kv["init_file"])
         fields = {key: conv(kv[key]) for key, conv in _SIM_KEYS.items() if key in kv}

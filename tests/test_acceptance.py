@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from pathlib import Path
 
+from grid_meshes import meshes
 from kstensor import functionals as fn
 from kstensor import thresholds as th
 from kstensor.matrixflux import FluxTensor, rotation_z
@@ -240,7 +241,7 @@ def test_criterion_8_moment_identity(control_outcome, global_outcome):
 
 def test_criterion_9_gradient_bound():
     grid = Grid3(16, 1.0)
-    x, y, z = grid.meshes()
+    x, y, z = meshes(grid)
     inside = (np.abs(x) <= 0.5) & (np.abs(y) <= 0.5) & (np.abs(z) <= 0.5)
     box = DensityField(grid, np.where(inside, 1.0, 0.0))  # M = 1, linf = 1
     _, gamma = fn.gradv_sup_bound(box)

@@ -16,8 +16,6 @@ ALLOWED = {
     # the bench tracer lists it; it goes with the bench change that traces
     # solve_potential_v instead (ROADMAP item 1)
     "solve_potential_gradient": "traced by perfbench",
-    # the coordinate meshes the tests' reference samplers and moments are built on
-    "Grid3.meshes": "tests' reference grid",
 }
 
 

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from grid_meshes import meshes
 from kstensor import functionals as fn
 from kstensor import potential
 from kstensor.errors import BadParameter, NonPositiveMoment, NotSPD, ZeroField
@@ -35,7 +36,7 @@ def mesh_second_moment(u):
 
 
 def mesh_weighted_moment(u, b):
-    x, y, z = u.grid.meshes()
+    x, y, z = meshes(u.grid)
     quad = (
         b[0, 0] * x * x + b[1, 1] * y * y + b[2, 2] * z * z
         + 2.0 * (b[0, 1] * x * y + b[0, 2] * x * z + b[1, 2] * y * z)
@@ -44,7 +45,7 @@ def mesh_weighted_moment(u, b):
 
 
 def mesh_moment_rhs_identity(u, flux, chi, pot):
-    x, y, z = u.grid.meshes()
+    x, y, z = meshes(u.grid)
     ux, uy, uz = flux.u_orth
     rot_gx = ux[0] * pot.gx + ux[1] * pot.gy + ux[2] * pot.gz
     rot_gy = uy[0] * pot.gx + uy[1] * pot.gy + uy[2] * pot.gz
@@ -202,7 +203,7 @@ class TestBiler:
         # closed forms: J = (6/5) M^2 / R, m = (3/5) R^2 M; compare at the
         # sampled (staircase) mass, which J amplifies quadratically
         grid = Grid3(64, 4.0)
-        x, y, z = grid.meshes()
+        x, y, z = meshes(grid)
         r2 = x * x + y * y + z * z
         rho = 1.0 / (4.0 / 3.0 * math.pi)
         u = DensityField(grid, np.where(r2 <= 1.0, rho, 0.0))
@@ -282,7 +283,7 @@ class TestMomentRhs:
         u = DensityField(grid, vals)
         u_orth = FluxTensor.from_matrix(rotation_z(math.pi / 3)).u_orth
         s_mat = 0.5 * (u_orth + u_orth.T)
-        c = np.stack([m.ravel() for m in grid.meshes()])
+        c = np.stack([m.ravel() for m in meshes(grid)])
         d = c[:, :, None] - c[:, None, :]
         r = np.sqrt(np.sum(d * d, axis=0))
         np.fill_diagonal(r, np.inf)
@@ -338,7 +339,7 @@ class TestGradvBound:
         # use the formula directly through a crafted field: M = linf = 1
         side = grid.cell_volume ** (-1 / 3)
         # a uniform box of edge 1 centered at origin: linf = 1, mass = 1
-        x, y, z = grid.meshes()
+        x, y, z = meshes(grid)
         inside = (np.abs(x) <= 0.5) & (np.abs(y) <= 0.5) & (np.abs(z) <= 0.5)
         u = DensityField(grid, np.where(inside, 1.0, 0.0))
         assert abs(u.mass - 1.0) < 1e-12
@@ -363,11 +364,17 @@ class TestGradvBound:
         with pytest.raises(ZeroField):
             fn.gradv_sup_bound(u)
 
+    @pytest.mark.parametrize("n", [2, 1, 0])
+    def test_rejects_dimension_below_3(self, n):
+        # n = 0 used to divide by zero
+        with pytest.raises(BadParameter, match="dimension must be >= 3"):
+            fn.gradv_sup_bound(gaussian_field(Grid3(16, 4.0)), n=n)
+
 
 class TestLqNorm:
     def test_unit_cube_indicator(self):
         grid = Grid3(16, 2.0)  # h = 0.25: the unit cube tiles 4x4x4 cells
-        x, y, z = grid.meshes()
+        x, y, z = meshes(grid)
         inside = (np.abs(x) <= 0.5) & (np.abs(y) <= 0.5) & (np.abs(z) <= 0.5)
         u = DensityField(grid, np.where(inside, 1.0, 0.0))
         assert fn.lq_norm(u, 1.5) == pytest.approx(1.0, rel=1e-12)

@@ -7,6 +7,7 @@ import pytest
 import scipy.fft as sfft
 from scipy.special import erf
 
+from grid_meshes import meshes
 from kstensor import potential
 from kstensor.errors import DomainError, GridTooSmall, TooLarge
 from kstensor.potential import (
@@ -33,7 +34,7 @@ def gaussian_field(grid, mass=1.0, sigma=1.0, center=(0.0, 0.0, 0.0)):
 
 
 def gaussian_potential_exact(grid, mass=1.0, sigma=1.0):
-    x, y, z = grid.meshes()
+    x, y, z = meshes(grid)
     r = np.sqrt(x * x + y * y + z * z)
     v = mass * erf(r / (sigma * math.sqrt(2))) / (4 * math.pi * r)
     menc = mass * (
@@ -102,7 +103,7 @@ class TestGrid3:
 def mesh_gaussian_values(grid, mass, sigma, center=(0.0, 0.0, 0.0)):
     sig = np.asarray(sigma, dtype=float) * np.ones(3)
     c = np.asarray(center, dtype=float)
-    x, y, z = grid.meshes()
+    x, y, z = meshes(grid)
     norm = mass / ((2.0 * math.pi) ** 1.5 * float(np.prod(sig)))
     return norm * np.exp(
         -0.5 * (((x - c[0]) / sig[0]) ** 2 + ((y - c[1]) / sig[1]) ** 2 + ((z - c[2]) / sig[2]) ** 2)
@@ -111,7 +112,7 @@ def mesh_gaussian_values(grid, mass, sigma, center=(0.0, 0.0, 0.0)):
 
 def mesh_ball_values(grid, mass, radius, center=(0.0, 0.0, 0.0)):
     c = np.asarray(center, dtype=float)
-    x, y, z = grid.meshes()
+    x, y, z = meshes(grid)
     rho = mass / (4.0 / 3.0 * math.pi * radius**3)
     r2 = (x - c[0]) ** 2 + (y - c[1]) ** 2 + (z - c[2]) ** 2
     return np.where(r2 <= radius * radius, rho, 0.0)
@@ -142,7 +143,7 @@ class TestSamplers:
         )
 
     def test_radius_squared_bitwise_as_mesh(self):
-        x, y, z = self.grid.meshes()
+        x, y, z = meshes(self.grid)
         np.testing.assert_array_equal(self.grid.radius_squared(), x**2 + y**2 + z**2)
 
     def test_gaussian_peak_memory_below_three_grids(self):
@@ -267,7 +268,7 @@ def dense_direct(u):
     """The direct sum from all N x N coordinate differences at once: no blocks, no table."""
     grid = u.grid
     h = grid.h
-    c = np.stack([m.ravel() for m in grid.meshes()])
+    c = np.stack([m.ravel() for m in meshes(grid)])
     d = c[:, :, None] - c[:, None, :]
     r = np.sqrt(np.sum(d * d, axis=0))
     np.fill_diagonal(r, np.inf)
@@ -463,7 +464,7 @@ class TestPointSource:
         self.pot = solve_potential_fast(self.u)
 
     def test_far_field_within_one_percent(self):
-        x, y, z = self.grid.meshes()
+        x, y, z = meshes(self.grid)
         c = self.grid.axis_centers()[self.i0]
         r = np.sqrt((x - c) ** 2 + (y - c) ** 2 + (z - c) ** 2)
         mask = r >= 4 * self.grid.h

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from grid_meshes import meshes
 from kstensor import potential
 from kstensor import solver as sv
 from kstensor.errors import BadParameter, CflViolation, ConfigInvalid, SupportTooLarge
@@ -89,7 +90,7 @@ class TestMakeInitialData:
         desc = InitialData(kind="ball", mass=1.0, radius=0.5, center=(1.0, 0.0, 0.0))
         u_full = make_initial_data(desc, grid)
         u_eps = make_initial_data(desc, grid, epsilon=0.5)
-        x, _, _ = grid.meshes()
+        x, _, _ = meshes(grid)
         com_full = grid.cell_volume * np.sum(u_full.values * x) / u_full.mass
         com_eps = grid.cell_volume * np.sum(u_eps.values * x) / u_eps.mass
         assert com_full == pytest.approx(1.0, abs=2e-3)
@@ -349,15 +350,19 @@ class TestRun:
         assert "dt_min" in out.message
 
     def test_nonfinite_abort(self, monkeypatch):
-        def bad_diffuse(values, grid, dt):
-            out = values.copy()
-            out[0, 0, 0] = np.nan
-            return out
+        for bad in (np.nan, np.inf, -np.inf):
+            def bad_diffuse(values, grid, dt):
+                out = values.copy()
+                out[0, 0, 0] = bad
+                return out
 
-        monkeypatch.setattr(sv, "_diffuse", bad_diffuse)
-        out = run(small_config())
-        assert out.status == "Aborted"
-        assert "non-finite" in out.message
+            monkeypatch.setattr(sv, "_diffuse", bad_diffuse)
+            out = run(small_config())
+            assert out.status == "Aborted", bad
+            assert "non-finite" in out.message
+            # the run stops before the step: its last record is the state it started from
+            assert out.steps == 0 and out.t_final == 0.0
+            assert out.min_density >= 0.0 and all(math.isfinite(r.linf) for r in out.records)
 
     def test_stops_exactly_at_t_end(self):
         # t_end = 10 dt_max: accumulated round-off must not cost an extra,
@@ -646,6 +651,29 @@ diagnostics_every = 5
             cfg = small_config(**{name: value})
         with pytest.raises(ConfigInvalid, match=name):
             cfg.validate()
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("sigma", (1.0, 1.0)), ("sigma", (1.0,) * 4), ("sigma", 1.0),
+         ("center", (0.0, 0.0)), ("center", (0.0, 0.0, 0.0, 0.5)), ("center", ())],
+        ids=["sigma-2", "sigma-4", "sigma-scalar", "center-2", "center-4", "center-0"],
+    )
+    def test_rejects_vector_not_of_three(self, name, value):
+        # before a run: a short center used to fail mid-run with IndexError, a short
+        # sigma with numpy's broadcast error, and a long center lost its last entry
+        cfg = small_config(initial=InitialData(kind="gaussian", **{name: value}))
+        with pytest.raises(ConfigInvalid, match=f"{name} must have 3 components"):
+            cfg.validate()
+        with pytest.raises(ConfigInvalid, match=name):
+            run(cfg)
+
+    @pytest.mark.parametrize(
+        "text", ["sigma = 1,1", "sigma = 1,1,1,1", "center = 0,0", "center = 0,0,0,1"]
+    )
+    def test_parse_rejects_vector_not_of_three(self, text):
+        name = text.split()[0]
+        with pytest.raises(ConfigInvalid, match=f"{name} must have 3 components"):
+            parse_config(self.GOOD.replace("sigma = 1.0", text))
 
     @pytest.mark.parametrize("times", ["-1", "0", "0.5,0.6"])
     def test_rejects_snapshot_outside_run(self, times):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kstensor import functionals as fn
 from kstensor import thresholds as th
 from kstensor.errors import (
     BadExponent,
@@ -14,6 +15,7 @@ from kstensor.errors import (
 from kstensor.functionals import lq_norm, second_moment
 from kstensor.matrixflux import FluxTensor, rotation_z
 from kstensor.potential import DensityField, Grid3, gaussian_values
+from kstensor.verify import density_suite
 
 IDENTITY = FluxTensor.from_matrix(np.eye(3))
 
@@ -210,16 +212,47 @@ class TestGlobalDelta:
         with pytest.raises(BadParameter):
             th.global_delta(4, 3, 1.0, 0.0)
 
+    @pytest.mark.parametrize("n", [2, 1, 0, -3])
+    def test_rejects_dimension_below_3(self, n):
+        # n = 0 used to divide by zero and n = -3 to return -2/3
+        with pytest.raises(BadParameter, match="dimension must be >= 3"):
+            th.global_delta(4, n, 1.0, 1.0)
+
 
 class TestCompatibility:
     def test_ratio_is_scale_invariant(self):
-        # the internal rescaled-twin assertion must pass, and the ratio must
-        # match between two widths of the same Gaussian family
+        # the ratio must match between two widths of the same Gaussian family
         u1 = gaussian_field(Grid3(64, 8.0), sigma=1.0)
         u2 = gaussian_field(Grid3(64, 4.0), sigma=0.5)
         l1, r1, _ = th.compatibility_check(u1, 3, c_n=0.4)
         l2, r2, _ = th.compatibility_check(u2, 3, c_n=0.4)
         assert l1 / r1 == pytest.approx(l2 / r2, rel=1e-6)
+
+    @pytest.mark.parametrize("u", [pytest.param(u, id=name) for name, u in density_suite(16, 4.0)])
+    def test_exact_twin_has_the_same_ratio(self, u):
+        # eps^-3 u(x / eps) with eps = 1/2: the same cells on a box half as wide,
+        # values x 8; cell centres halve exactly, so both sides double
+        twin = DensityField(Grid3(u.grid.n_cells, 0.5 * u.grid.half_width), 8.0 * u.values)
+        lhs, rhs, ok = th.compatibility_check(u, 3, c_n=0.4)
+        lhs2, rhs2, ok2 = th.compatibility_check(twin, 3, c_n=0.4)
+        assert lhs2 / rhs2 == pytest.approx(lhs / rhs, rel=1e-6)
+        assert lhs2 == pytest.approx(2.0 * lhs, rel=1e-12)
+        assert rhs2 == pytest.approx(2.0 * rhs, rel=1e-12)
+        assert ok2 == ok
+
+    def test_sides_evaluated_once(self, monkeypatch):
+        calls = {"lq_norm": 0, "second_moment": 0}
+
+        def counted(name):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return getattr(fn, name)(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(th, name, counted(name))
+        th.compatibility_check(gaussian_field(Grid3(16, 6.0)), 3, c_n=0.4)
+        assert calls == {"lq_norm": 1, "second_moment": 1}
 
     def test_divergence_rate_matches(self):
         # shrinking sigma at fixed mass blows up both sides at the same rate
