@@ -32,6 +32,7 @@ from .potential import (
     PotentialField,
     _displacements,
     _pair_blocks,
+    _require_dimension,
     solve_potential_fast,
     unit_ball_volume,
 )
@@ -46,12 +47,6 @@ def _require_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise BadParameter(f"{name} must be finite, got {value}")
-
-
-def _require_dimension(n: int) -> None:
-    """BadParameter unless n >= 3, the dimensions the analysis layer covers."""
-    if n < 3:
-        raise BadParameter(f"dimension must be >= 3, got {n}")
 
 
 def _solved(u: DensityField, pot: PotentialField | None) -> PotentialField:
@@ -201,6 +196,7 @@ def aggregation_coefficient(flux: FluxTensor, chi: float, n: int = 3) -> float:
     The aggregation term of the moment inequality is c M^(n/2+1) w^(1-n/2);
     the bound, the moment ODE rate and C_Bl all read it from here.
     """
+    _require_dimension(n)
     return (
         2.0 ** (1.0 - n / 2.0)
         * chi

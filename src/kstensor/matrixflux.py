@@ -30,8 +30,6 @@ ORTHO_TOL = 1e-10
 SNAP_TOL = 1e-8
 # Margins below this are treated as the hypothesis boundary: reported not ok.
 BOUNDARY_TOL = 1e-10
-# The spectrum route and the symmetric-part route must agree this tightly.
-ROUTE_AGREE_TOL = 1e-10
 
 
 def _polar(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -97,13 +95,6 @@ def canonical_spectrum(u_orth: np.ndarray) -> tuple[list[float], list[float]]:
     return sorted(angles), sorted(real_eigs, reverse=True)
 
 
-def symmetric_part_margin(u_orth: np.ndarray) -> float:
-    """Smallest eigenvalue of (U + U^T)/2, the quadratic-form minimum of U."""
-    u_orth = np.asarray(u_orth, dtype=float)
-    sym = 0.5 * (u_orth + u_orth.T)
-    return float(np.linalg.eigvalsh(sym)[0])
-
-
 def check_hypothesis(a: np.ndarray) -> tuple[bool, float]:
     """Decide whether x^T (A A^T)^(-1/2) A x > 0 for all nonzero x.
 
@@ -137,21 +128,15 @@ class FluxTensor:
         """Factor A and decide the structural hypothesis.
 
         kappa and the verdict come from the canonical spectrum of U (all real
-        eigenvalues +1 and cos(alpha_j) > 0); kappa is cross-checked against
-        the minimum eigenvalue of U's symmetric part to ROUTE_AGREE_TOL. Exact
-        boundary cases (kappa within BOUNDARY_TOL of zero) report not ok: the
-        blow-up machinery is not claimed to apply there.
+        eigenvalues +1 and cos(alpha_j) > 0). Exact boundary cases (kappa
+        within BOUNDARY_TOL of zero) report not ok: the blow-up machinery is
+        not claimed to apply there.
         """
         a = np.array(a, dtype=float)
         p, u, sigma = _polar(a)
         n = a.shape[0]
         angles, real_eigs = canonical_spectrum(u)
         kappa = float(min([np.cos(al) for al in angles] + list(real_eigs) + [1.0]))
-        margin = symmetric_part_margin(u)
-        if abs(kappa - margin) > ROUTE_AGREE_TOL:
-            raise NotOrthogonal(
-                f"kappa routes disagree: spectrum {kappa:.15g} vs symmetric {margin:.15g}"
-            )
         # eigenvalues of P^(-1) are reciprocals of the singular values of A
         lam_min = float(1.0 / sigma[0])
         lam_max = float(1.0 / sigma[-1])

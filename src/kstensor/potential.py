@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as sfft
 
-from .errors import DomainError, GridTooSmall, TooLarge
+from .errors import BadParameter, DomainError, GridTooSmall, TooLarge
 
 # mean of 1/|x| over the unit cube centered at the origin:
 # 2x the corner potential of the unit cube, 3*ln((1+sqrt(3))/sqrt(2)) - pi/4
@@ -85,10 +85,15 @@ def unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
+def _require_dimension(n: int) -> None:
+    """BadParameter unless n >= 3, the dimensions the analysis layer covers."""
+    if n < 3:
+        raise BadParameter(f"dimension must be >= 3, got {n}")
+
+
 def _kernel_radius(x, n: int) -> float:
     """|x|, once n >= 3 and x != 0 are checked: K and grad K are singular at 0."""
-    if n < 3:
-        raise DomainError(f"kernel requires dimension n >= 3, got {n}")
+    _require_dimension(n)
     r = float(np.linalg.norm(np.asarray(x, dtype=float)))
     if r == 0.0:
         raise DomainError("kernel is singular at x = 0")

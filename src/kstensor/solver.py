@@ -116,8 +116,8 @@ class SimConfig:
             raise ConfigInvalid(f"t_end must be positive, got {self.t_end}")
         if not (0.0 < self.cfl < 1.0):
             raise ConfigInvalid(f"cfl must lie in (0, 1), got {self.cfl}")
-        if not (self.dt_min < self.dt_max):
-            raise ConfigInvalid(f"need dt_min < dt_max, got {self.dt_min} >= {self.dt_max}")
+        if not (0.0 < self.dt_min < self.dt_max):
+            raise ConfigInvalid(f"need 0 < dt_min < dt_max, got {self.dt_min} and {self.dt_max}")
         if not (self.blowup_factor > 1.0):
             raise ConfigInvalid(f"blowup_factor must exceed 1, got {self.blowup_factor}")
         if self.diagnostics_every < 1:

@@ -27,11 +27,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadExponent, BadParameter, HypothesisViolated, NonPositiveMoment, ZeroField
-from .functionals import (
-    _require_dimension, _require_finite, aggregation_coefficient, lq_norm, second_moment,
-)
+from .functionals import _require_finite, aggregation_coefficient, lq_norm, second_moment
 from .matrixflux import FluxTensor
-from .potential import DensityField, Grid3, gaussian_values
+from .potential import DensityField, Grid3, _require_dimension, gaussian_values
 
 # round-off guard on the admissibility comparison: data re-measured from a
 # grid may land on the threshold to within quadrature noise

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 from sphere_oracle import sphere_min, sphere_table
+from symmetric_margin import symmetric_part_margin
 
 from kstensor.errors import BadParameter, NotOrthogonal, SingularMatrix
 from kstensor.matrixflux import (
+    SNAP_TOL,
     FluxTensor,
     canonical_spectrum,
     check_hypothesis,
@@ -13,7 +15,6 @@ from kstensor.matrixflux import (
     parse_matrix_inline,
     polar_decompose,
     rotation_z,
-    symmetric_part_margin,
 )
 
 
@@ -232,6 +233,22 @@ class TestCheckHypothesis:
             angles, real_eigs = canonical_spectrum(u)
             spectrum_min = min([math.cos(t) for t in angles] + real_eigs + [1.0])
             assert abs(spectrum_min - symmetric_part_margin(u)) < 1e-10
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_kappa_matches_margin_near_boundary(self, n):
+        # kappa comes from the canonical spectrum alone; the symmetric part of U
+        # must give the same number to 1e-10 at every angle the verdict turns on
+        # (0, pi/2 and pi, each also at the SNAP_TOL edge) under a random stretch
+        rng = np.random.default_rng(40 + n)
+        for _ in range(100):
+            r = np.diag(rng.choice([1.0, -1.0], size=n))
+            for j in range(n // 2):
+                t = rng.choice([0.0, math.pi / 2, math.pi]) + rng.choice([0.0, SNAP_TOL, -SNAP_TOL])
+                r[2 * j:2 * j + 2, 2 * j:2 * j + 2] = rotation_z(t)[:2, :2]
+            q, w = random_orthogonal(rng, n), random_orthogonal(rng, n)
+            p = (w * np.exp(rng.uniform(-2.0, 2.0, size=n))) @ w.T
+            flux = FluxTensor.from_matrix(p @ q @ r @ q.T)
+            assert abs(flux.kappa - symmetric_part_margin(flux.u_orth)) < 1e-10
 
 
 class TestSphereOracle:

@@ -625,6 +625,20 @@ diagnostics_every = 5
         with pytest.raises(ConfigInvalid, match="dt_min"):
             parse_config(self.GOOD + "\ndt_min = 1.0\n")
 
+    @pytest.mark.parametrize(
+        "dt_min, dt_max", [(-1.0, 0.0), (0.0, 0.01), (-1e-8, 0.01), (-2.0, -1.0)]
+    )
+    def test_rejects_nonpositive_dt(self, dt_min, dt_max):
+        # dt_max = 0 used to run forever (t += 0 never reaches t_end), and a
+        # negative dt_max ran time backwards into a false NumericalBlowup
+        with pytest.raises(ConfigInvalid, match="0 < dt_min < dt_max"):
+            parse_config(self.GOOD.replace("dt_max = 0.01", f"dt_max = {dt_max}\ndt_min = {dt_min}"))
+        cfg = small_config(dt_min=dt_min, dt_max=dt_max)
+        with pytest.raises(ConfigInvalid, match="0 < dt_min < dt_max"):
+            cfg.validate()
+        with pytest.raises(ConfigInvalid, match="0 < dt_min < dt_max"):
+            run(cfg)
+
     def test_rejects_bad_blowup_factor(self):
         with pytest.raises(ConfigInvalid, match="blowup_factor"):
             parse_config(self.GOOD + "\nblowup_factor = 0.5\n")
