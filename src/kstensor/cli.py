@@ -28,8 +28,13 @@ def _fmt(x) -> str:
     return _FMT.format(float(x))
 
 
-def _matrix_rows(mat: np.ndarray) -> str:
-    return "\n".join("  " + " ".join(_fmt(v) for v in row) for row in mat)
+def _report(**fields) -> None:
+    """Print `key=value` per field in order (floats by `_fmt`); a matrix prints `key:` and rows."""
+    for key, val in fields.items():
+        if isinstance(val, np.ndarray):
+            print(key + ":" + "".join("\n  " + " ".join(map(_fmt, row)) for row in val))
+        else:
+            print(f"{key}={_fmt(val) if isinstance(val, float) else val}")
 
 
 def _read_matrix(args) -> np.ndarray:
@@ -41,39 +46,28 @@ def _read_matrix(args) -> np.ndarray:
 
 
 def cmd_check_matrix(args) -> int:
-    mat = _read_matrix(args)
-    flux = FluxTensor.from_matrix(mat)
-    print(f"n={flux.n}")
-    print("P:")
-    print(_matrix_rows(flux.p))
-    print("U:")
-    print(_matrix_rows(flux.u_orth))
-    print("angles=" + (",".join(_fmt(a) for a in flux.angles) or "none"))
-    print("real_eigs=" + (",".join(_fmt(e) for e in flux.real_eigs) or "none"))
-    print(f"kappa={_fmt(flux.kappa)}")
-    print(f"lam_min={_fmt(flux.lam_min)}")
-    print(f"lam_max={_fmt(flux.lam_max)}")
-    print(f"trace_pinv={_fmt(flux.trace_pinv)}")
-    print(f"hypothesis={'true' if flux.hypothesis_ok else 'false'}")
+    flux = FluxTensor.from_matrix(_read_matrix(args))
+    _report(
+        n=flux.n, P=flux.p, U=flux.u_orth,
+        angles=",".join(map(_fmt, flux.angles)) or "none",
+        real_eigs=",".join(map(_fmt, flux.real_eigs)) or "none",
+        kappa=flux.kappa, lam_min=flux.lam_min, lam_max=flux.lam_max, trace_pinv=flux.trace_pinv,
+        hypothesis="true" if flux.hypothesis_ok else "false",
+    )
     return 0 if flux.hypothesis_ok else 2
 
 
 def cmd_thresholds(args) -> int:
-    mat = _read_matrix(args)
-    flux = FluxTensor.from_matrix(mat)
+    flux = FluxTensor.from_matrix(_read_matrix(args))
     dim = flux.n if args.dim is None else args.dim
     verdict = th.admissibility(args.moment, args.mass, flux, args.chi, dim)
-    eps = (
-        th.rescale_epsilon(args.moment, args.mass, flux, args.chi, dim)
-        if args.moment > 0.0
-        else float("inf")
+    _report(
+        c_bl=verdict.c_bl, admissible="true" if verdict.admissible else "false",
+        margin=verdict.margin,
+        epsilon=th.rescale_epsilon(args.moment, args.mass, flux, args.chi, dim)
+        if args.moment > 0.0 else float("inf"),
+        t_upper="none" if verdict.t_upper is None else verdict.t_upper, f_w0=verdict.f_w0,
     )
-    print(f"c_bl={_fmt(verdict.c_bl)}")
-    print(f"admissible={'true' if verdict.admissible else 'false'}")
-    print(f"margin={_fmt(verdict.margin)}")
-    print(f"epsilon={_fmt(eps)}")
-    print("t_upper=" + (_fmt(verdict.t_upper) if verdict.t_upper is not None else "none"))
-    print(f"f_w0={_fmt(verdict.f_w0)}")
     return 0
 
 
@@ -84,11 +78,10 @@ def cmd_simulate(args) -> int:
 
         config = replace(config, output_dir=args.output)
     outcome = run(config)
-    print(f"status={outcome.status}")
-    print(f"t_final={_fmt(outcome.t_final)}")
-    print(f"steps={outcome.steps}")
-    print(f"dt_at_stop={_fmt(outcome.dt_at_stop)}")
-    print(f"sup_growth_factor={_fmt(outcome.sup_growth_factor)}")
+    _report(
+        status=outcome.status, t_final=outcome.t_final, steps=outcome.steps,
+        dt_at_stop=outcome.dt_at_stop, sup_growth_factor=outcome.sup_growth_factor,
+    )
     if outcome.status == "CompletedToTEnd":
         return 0
     if outcome.status == "NumericalBlowup":
@@ -99,13 +92,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     results = run_suite(args.suite)
-    failed = 0
     for res in results:
         mark = "PASS" if res.passed else "FAIL"
         print(f"{mark} [{res.suite}] {res.name}: margin={_fmt(res.margin)}")
-        failed += 0 if res.passed else 1
-    print(f"{len(results) - failed}/{len(results)} cases passed")
-    return 0 if failed == 0 else 1
+    passed = sum(res.passed for res in results)
+    print(f"{passed}/{len(results)} cases passed")
+    return 0 if passed == len(results) else 1
 
 
 def cmd_calibrate_cn(args) -> int:

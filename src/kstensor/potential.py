@@ -4,12 +4,12 @@ Solves -Laplace(v) = u on all of R^3 restricted to a cube, via discrete
 convolution with the kernel K(x) = 1/(4 pi |x|):
 
 * fast path: zero-padded FFT convolution (domain doubled per axis, so the
-  periodic product realizes the free-space sum exactly on the original box;
-  the transforms run axis by axis and skip the lines that are all zero on
-  the way in or cropped away on the way out). The kernel spectra are real
-  tables built once per n_cells from one octant by DCT-I/DST-I, free of the
-  grid spacing, which enters as one scalar per inverse transform; the spectrum
-  products run in one row block per usable CPU, with the same bits for any count;
+  periodic product realizes the free-space sum exactly on the original box).
+  The padded spectrum is never formed: after the z and y passes, slabs of
+  ky rows are padded along x, transformed, multiplied by each real kernel
+  table and transformed back, in lanes sharing a fixed buffer, with the same
+  bits for any count. The tables come from one octant by DCT-I/DST-I once per
+  n_cells, free of the grid spacing, which enters as one scalar per inverse;
 * direct path: O(N^2) double sum, an independent oracle for the fast path,
   visiting each pair of cells once over a table of the (2n-1)^3 integer
   displacements.
@@ -57,6 +57,7 @@ DIRECT_MAX_CELLS = 24  # cost guard for the O(N^2) oracle
 # threshold, and later calls then leave their blocks resident on the heap
 _BLOCK_PAIRS = 1 << 17
 FAST_MIN_CELLS = 16
+_SLAB_ROWS = 16  # ky rows per slab buffer, over all lanes of the x pass: 0.5 MB at 32^3
 
 _FFT_WORKERS = -1  # scipy.fft uses all available cores
 _BLOCKS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -92,9 +93,12 @@ def _require_dimension(n: int) -> None:
 
 
 def _kernel_radius(x, n: int) -> float:
-    """|x|, once n >= 3 and x != 0 are checked: K and grad K are singular at 0."""
+    """|x|, once n >= 3, x in R^n and x != 0 are checked: K and grad K are singular at 0."""
     _require_dimension(n)
-    r = float(np.linalg.norm(np.asarray(x, dtype=float)))
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise BadParameter(f"x must have {n} components, got shape {x.shape}")
+    r = float(np.linalg.norm(x))
     if r == 0.0:
         raise DomainError("kernel is singular at x = 0")
     return r
@@ -277,40 +281,35 @@ def _tables_for(n: int) -> _KernelTables:
         if tab is None:
             t0 = time.perf_counter()
             tab = _tables_cache[n] = _KernelTables(n)
-            logger.info(
-                "kernel tables for n_cells=%d: %d bytes, built in %.1f ms",
-                n, tab.nbytes, 1e3 * (time.perf_counter() - t0),
-            )
+            logger.info("kernel tables for n_cells=%d: %d bytes, built in %.1f ms",
+                        n, tab.nbytes, 1e3 * (time.perf_counter() - t0))
     return tab
 
 
-def _pad_rfftn(values: np.ndarray, n: int) -> np.ndarray:
-    """Spectrum of `values` zero-padded to (2n)^3, without forming the pad.
+def _x_pass(start: int, stop: int, half: np.ndarray, tables: list, outs: list, bufs: np.ndarray) -> None:
+    """x transform of the ky rows of lanes [start, stop) of len(bufs), zero-padded, a slab at a
+    time in bufs[start]; each table's product is inverted along x and cropped into its output."""
+    n, lanes = half.shape[0], len(bufs)
+    spec_buf, prod_buf = bufs[start, 0], bufs[start, -1]
+    first, last = 2 * n * start // lanes, 2 * n * stop // lanes
+    for j in range(first, last, spec_buf.shape[1]):
+        k = min(j + spec_buf.shape[1], last)
+        spec, prod = spec_buf[:, : k - j], prod_buf[:, : k - j]
+        spec[:n] = half[:, j:k]
+        spec[n:] = 0.0
+        sfft.fft(spec, axis=0, overwrite_x=True, workers=1)
+        for (lo, hi), out in zip(tables, outs):
+            # rows kx in [0, n] meet a table's lo, rows kx in [n+1, 2n) its hi
+            np.multiply(spec[: n + 1], lo[:, j:k], out=prod[: n + 1])
+            np.multiply(spec[n + 1 :], hi[:, j:k], out=prod[n + 1 :])
+            out[:, j:k] = sfft.ifft(prod, axis=0, overwrite_x=True, workers=1)[:n]
 
-    One axis at a time, each pass transforms only the lines that can hold
-    nonzero data: n^2 lines along z, n(n+1) along y, then 2n(n+1) along x.
-    The passes fill one array in place, zeroed only where the z pass writes nothing.
-    """
-    m = 2 * n
-    spec = np.empty((m, m, n + 1), dtype=complex)
-    spec[:n, :n] = sfft.rfft(values, n=m, axis=2, workers=_FFT_WORKERS)
-    spec[:n, n:] = spec[n:] = 0.0
-    sfft.fft(spec[:n], axis=1, overwrite_x=True, workers=_FFT_WORKERS)
-    return sfft.fft(spec, axis=0, overwrite_x=True, workers=_FFT_WORKERS)
 
-
-def _crop_irfftn(spec: np.ndarray, n: int, scale: complex) -> np.ndarray:
-    """First-octant (n^3) view of the inverse of a (2n)^3 rfftn spectrum, times scale.
-
-    Crops after each axis, so later passes skip the lines that would be
-    thrown away; the scale multiplies the cropped (n, n, n+1) intermediate
-    before the last pass. Consumes `spec`: its contents are overwritten.
-    """
-    m = 2 * n
-    out = sfft.ifft(spec, axis=0, overwrite_x=True, workers=_FFT_WORKERS)[:n]
-    out = sfft.ifft(out, axis=1, overwrite_x=True, workers=_FFT_WORKERS)[:, :n]
+def _inverse_yz(spec: np.ndarray, n: int, scale: complex) -> np.ndarray:
+    """First octant of the y and z inverse of `spec`, scaled after the y crop; consumes `spec`."""
+    out = sfft.ifft(spec, axis=1, overwrite_x=True, workers=_FFT_WORKERS)[:, :n]
     out *= scale
-    return sfft.irfft(out, n=m, axis=2, workers=_FFT_WORKERS)[:, :, :n]
+    return sfft.irfft(out, n=2 * n, axis=2, workers=_FFT_WORKERS)[:, :, :n]
 
 
 def _centered(u: np.ndarray, ax: int, h: float, d: np.ndarray | None = None) -> np.ndarray:
@@ -324,40 +323,37 @@ def _centered(u: np.ndarray, ax: int, h: float, d: np.ndarray | None = None) -> 
 
 
 def _solve_fast(u: DensityField, with_gradient: bool = True):
-    """Shared core of the FFT solvers: (v, [gx, gy, gz] or [])."""
-    grid = u.grid
-    n, h = grid.n_cells, grid.h
+    """Shared core of the FFT solvers: (v, gx, gy, gz), or (v,) without the gradient."""
+    n, h = u.grid.n_cells, u.grid.h
     if n < FAST_MIN_CELLS:
         raise GridTooSmall(f"n_cells = {n} < {FAST_MIN_CELLS}")
     tab = _tables_for(n)
-    uh = _pad_rfftn(u.values, n)
-    # per call, so concurrent solves share nothing; v's product goes last, into uh
-    work = np.empty_like(uh) if with_gradient else None
-
-    def product(start: int, stop: int, table, out: np.ndarray) -> None:
-        # rows kx in [0, n] meet a table's lo, rows kx in [n+1, 2n) its hi
-        m = min(max(start, n + 1), stop)
-        np.multiply(uh[start:m], table[0][start:m], out=out[start:m])
-        np.multiply(uh[m:stop], table[1][m - n - 1 : stop - n - 1], out=out[m:stop])
-
+    # z and y transforms of the n x rows that hold data
+    half = sfft.rfft(u.values, n=2 * n, axis=2, workers=_FFT_WORKERS)
+    half = sfft.fft(half, n=2 * n, axis=1, overwrite_x=True, workers=_FFT_WORKERS)
+    # per call, so concurrent solves share nothing; the slab buffers come from this thread's heap
+    # (a pool thread's arena keeps freed memory resident). A lane per 16 cells of side, up to the
+    # CPU count (at 16^3 a second lane costs more than it saves), all sharing _SLAB_ROWS
+    tables = [*(tab.g_hat if with_gradient else []), tab.k_hat]
+    specs = [np.empty_like(half) for _ in tables[1:]]
+    lanes = min(_BLOCKS, n // 16, _SLAB_ROWS)
+    shape = (lanes, min(len(tables), 2), 2 * n, _SLAB_ROWS // lanes, n + 1)
+    _in_blocks(_x_pass, lanes, half, tables, specs + [half], np.empty(shape, dtype=complex))
     # cell volume h^3 times the unit tables' 1/h (K) and i/h^2 (grad K); the
     # defect correction is the left operand, so the results are contiguous
     grads = []
-    for ax, g_hat in enumerate(tab.g_hat if with_gradient else []):
+    for ax in range(len(specs)):
         g = (_G_CORRECTION * h * h) * _centered(u.values, ax, h)
-        _in_blocks(product, 2 * n, g_hat, work)
-        g += _crop_irfftn(work, n, 1j * h)
+        g += _inverse_yz(specs.pop(0), n, 1j * h)  # each spectrum freed once inverted
         grads.append(g)
     v = (_V_CORRECTION * h * h) * u.values
-    _in_blocks(product, 2 * n, tab.k_hat, uh)
-    v += _crop_irfftn(uh, n, h * h)
-    return v, grads
+    v += _inverse_yz(half, n, h * h)
+    return v, *grads
 
 
 def solve_potential_fast(u: DensityField) -> PotentialField:
     """Free-space potential and gradient by zero-padded FFT convolution."""
-    v, (gx, gy, gz) = _solve_fast(u)
-    return PotentialField(u.grid, v, gx, gy, gz)
+    return PotentialField(u.grid, *_solve_fast(u))
 
 
 def solve_potential_v(u: DensityField) -> np.ndarray:
@@ -367,8 +363,7 @@ def solve_potential_v(u: DensityField) -> np.ndarray:
 
 def solve_potential_gradient(u: DensityField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The gradient of `solve_potential_fast(u)`."""
-    pot = solve_potential_fast(u)
-    return pot.gx, pot.gy, pot.gz
+    return _solve_fast(u)[1:]
 
 
 def _displacements(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -474,11 +469,9 @@ def load_field(path: str) -> tuple[np.ndarray, Grid3, dict]:
     meta: dict = {}
     with open(path + ".meta", "r", encoding="utf-8") as fh:
         for line in fh:
-            line = line.strip()
-            if not line or "=" not in line:
-                continue
-            key, val = line.split("=", 1)
-            meta[key.strip()] = val.strip()
+            key, sep, val = line.partition("=")
+            if sep:  # lines without a key=value pair are skipped
+                meta[key.strip()] = val.strip()
     for key in ("n_cells", "half_width"):
         if key not in meta:
             raise ValueError(f"{path}.meta has no {key!r} entry")

@@ -57,6 +57,10 @@ def blowup_constant(flux: FluxTensor, chi: float, n: int = 3) -> float:
 def moment_ode_rate(w: float, m_tot: float, flux: FluxTensor, chi: float, n: int = 3) -> float:
     """f(w) = 2 Tr(P^(-1)) M w^(n/2-1) - 2^(1-n/2) chi kappa M^(n/2+1)
     lambda_min^(n/2-1) / (n omega_n); (2/n) d/dt w^(n/2) <= f(w)."""
+    if not 0.0 <= w < math.inf:  # w = 0 is valid: admissibility passes it when m0 = 0
+        raise NonPositiveMoment(f"weighted moment must be non-negative and finite, got {w}")
+    if not 0.0 < m_tot < math.inf:
+        raise NonPositiveMoment(f"mass must be positive and finite, got {m_tot}")
     const = aggregation_coefficient(flux, chi, n) * m_tot ** (n / 2.0 + 1.0)
     return 2.0 * flux.trace_pinv * m_tot * w ** (n / 2.0 - 1.0) - const
 

@@ -9,13 +9,11 @@ from scipy.special import erf
 
 from grid_meshes import meshes
 from kstensor import potential
-from kstensor.errors import DomainError, GridTooSmall, TooLarge
+from kstensor.errors import BadParameter, DomainError, GridTooSmall, TooLarge
 from kstensor.potential import (
     CUBE_MEAN_INV_R,
     DensityField,
     Grid3,
-    _crop_irfftn,
-    _pad_rfftn,
     ball_values,
     gaussian_values,
     grad_kernel,
@@ -69,6 +67,15 @@ class TestKernel:
             kernel_value([0.0, 0.0, 0.0])
         with pytest.raises(DomainError):
             grad_kernel([0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "x, n",
+        [([1.0, 0.0, 0.0], 5), ([1.0, 0.0], 4), ([1.0, 0.0, 0.0, 0.0], 3), ([[1.0, 0.0, 0.0]], 3)],
+    )
+    def test_rejects_x_not_in_r_n(self, x, n):
+        for kernel in (kernel_value, grad_kernel):
+            with pytest.raises(BadParameter, match=f"x must have {n} components"):
+                kernel(x, n)
 
     def test_cube_mean_constant(self):
         # closed form for the cell-averaged singular kernel
@@ -237,6 +244,45 @@ class TestOracleEquivalence:
             tracemalloc.stop()
         assert peak <= 14 * u.values.nbytes
 
+    def test_potential_only_solve_peak_memory_below_9_grids(self):
+        # the (n, 2n, n+1) half spectrum, the z transform's padded input and
+        # output, or half plus 16 ky rows of slab buffer; never (2n, 2n, n+1)
+        u = gaussian_field(Grid3(32, 2.0), sigma=0.4)
+        potential._tables_for(32)
+        tracemalloc.start()
+        try:
+            solve_potential_v(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * u.values.nbytes
+
+
+    @pytest.mark.parametrize("blocks", [4, 8, 16])
+    def test_peak_memory_bounds_hold_for_any_cpu_count(self, cpus, blocks):
+        # the x pass's lanes share one slab budget, so a pool thread per CPU adds no buffer
+        cpus(blocks)
+        self.test_fast_solve_peak_memory_below_24_grids()
+        self.test_potential_only_solve_peak_memory_below_14_grids()
+        self.test_potential_only_solve_peak_memory_below_9_grids()
+
+    def test_peak_memory_does_not_grow_with_cpu_count(self, cpus):
+        # at 64^3 the x pass runs 2 lanes on 2 CPUs and 4 on 16, sharing 16 ky rows per slab
+        # buffer; more lanes add only numpy's 128 KB cast buffer each, 1/16 of a grid array
+        u = gaussian_field(Grid3(64, 2.0), sigma=0.4)
+        potential._tables_for(64)
+        peaks = {}
+        for blocks in (2, 16):
+            cpus(blocks)
+            for solve in (solve_potential_v, solve_potential_fast):
+                tracemalloc.start()
+                try:
+                    solve(u)
+                    peaks[solve, blocks] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        for solve in (solve_potential_v, solve_potential_fast):
+            assert peaks[solve, 16] - peaks[solve, 2] <= 0.25 * u.values.nbytes
 
 class TestDirectBlocks:
     # the O(N^2) oracle runs in bounded row blocks with buffers reused
@@ -326,22 +372,29 @@ class TestPairWalk:
 
 
 class TestPrunedTransforms:
-    """The axis-by-axis padded transforms against full (2n)^3 transforms."""
+    """The solves' pruned, slab-wise transforms against full (2n)^3 convolutions."""
+
+    @staticmethod
+    def assert_matches_explicit_convolution(u):
+        pot = solve_potential_fast(u)
+        ref = explicit_convolution(u)
+        for name, want in zip(("v", "gx", "gy", "gz"), ref):
+            got = getattr(pot, name)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_pad_rfftn_matches_explicit_pad(self, n):
-        values = np.random.default_rng(n).random((n, n, n))
-        pad = np.zeros((2 * n,) * 3)
-        pad[:n, :n, :n] = values
-        ref = sfft.rfftn(pad)
-        got = _pad_rfftn(values, n)
-        assert got.shape == ref.shape
-        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        # data up to every face of the box, where the pad begins
+        grid = Grid3(n, 2.0)
+        self.assert_matches_explicit_convolution(
+            DensityField(grid, np.random.default_rng(n).random((n, n, n)))
+        )
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_pad_rfftn_zeroes_its_own_pad(self, monkeypatch, n):
-        # _pad_rfftn zero-fills by hand: fill fresh float buffers with NaN so
-        # that any pad entry it forgets to write reaches the spectrum
+        # the solves zero-fill by hand: fill fresh float buffers with NaN so
+        # that any pad entry they forget to write reaches the result
         grid = Grid3(n, 2.0)
         u = gaussian_field(grid, sigma=0.4, center=(0.3, -0.2, 0.1))
         clean_v, clean = solve_potential_v(u), solve_potential_fast(u)
@@ -354,11 +407,6 @@ class TestPrunedTransforms:
             return out
 
         monkeypatch.setattr(potential.np, "empty", poisoned)
-        m, w = 2 * n, potential._FFT_WORKERS
-        ref = sfft.rfft(u.values, n=m, axis=2, workers=w)
-        ref = sfft.fft(ref, n=m, axis=1, workers=w)
-        ref = sfft.fft(ref, n=m, axis=0, workers=w)
-        np.testing.assert_array_equal(_pad_rfftn(u.values, n), ref)
         np.testing.assert_array_equal(solve_potential_v(u), clean_v)
         pot = solve_potential_fast(u)
         for name in ("v", "gx", "gy", "gz"):
@@ -366,11 +414,29 @@ class TestPrunedTransforms:
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_crop_irfftn_matches_cropped_inverse(self, n):
-        spec = sfft.rfftn(np.random.default_rng(n + 1).standard_normal((2 * n,) * 3))
-        ref = sfft.irfftn(spec, s=(2 * n,) * 3)[:n, :n, :n]
-        got = _crop_irfftn(spec.copy(), n, 1.0)
-        assert got.shape == (n, n, n)
-        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        # mass in one corner: the far corner of the cropped output is the
+        # displacement the periodic product must not wrap around
+        values = np.zeros((n, n, n))
+        values[: n // 4, : n // 4, : n // 4] = np.random.default_rng(n + 1).random((n // 4,) * 3)
+        self.assert_matches_explicit_convolution(DensityField(Grid3(n, 2.0), values))
+
+
+def explicit_convolution(u):
+    """(v, gx, gy, gz) of u by full (2n)^3 rfftn and irfftn against `rfftn_tables`."""
+    n, h = u.grid.n_cells, u.grid.h
+    pad = np.zeros((2 * n,) * 3)
+    pad[:n, :n, :n] = u.values
+    spec = sfft.rfftn(pad)
+    k_ref, g_ref = rfftn_tables(n)
+    # cell volume h^3 times the unit spectra's 1/h (K) and 1/h^2 (grad K)
+    v = (h * h) * sfft.irfftn(spec * k_ref, s=pad.shape)[:n, :n, :n]
+    v += (potential._V_CORRECTION * h * h) * u.values
+    grads = []
+    for ax, g_hat in enumerate(g_ref):
+        g = h * sfft.irfftn(spec * g_hat, s=pad.shape)[:n, :n, :n]
+        g += (potential._G_CORRECTION * h * h) * potential._centered(u.values, ax, h)
+        grads.append(g)
+    return [v, *grads]
 
 
 def rfftn_tables(n):

@@ -465,6 +465,11 @@ class TestRun:
         assert out.steps == 4 and len(out.records) == 3
         assert peak <= 25 * 8 * 32**3
 
+    @pytest.mark.parametrize("blocks", [4, 8, 16])
+    def test_run_peak_memory_below_25_grids_for_any_cpu_count(self, cpus, blocks):
+        cpus(blocks)
+        self.test_run_peak_memory_below_25_grids()
+
     def test_dt_limits_when_cfl_binds(self):
         cfg = small_config(
             chi=200.0,
@@ -750,7 +755,8 @@ def short_run(chi=30.0, matrix=np.eye(3)):
 class TestRowBlocks:
     """The passes between the FFTs give the same bits for any block count.
 
-    At 16^3, 3 blocks cut the cells 5/5/6 and the 32 spectrum rows 10/11/11.
+    At 16^3, 3 blocks cut the cells 5/5/6; at 64^3 they cut the x pass's 128 spectrum rows
+    into lanes of 42/43/43, walked in slabs of 5 rows with a short last slab.
     """
 
     @staticmethod
@@ -787,8 +793,10 @@ class TestRowBlocks:
         want = self.with_blocks(monkeypatch, 1, diffuse)
         np.testing.assert_array_equal(self.with_blocks(monkeypatch, blocks, diffuse), want)
 
-    @pytest.mark.parametrize("n", [16, 32])
-    @pytest.mark.parametrize("blocks", [2, 3])
+    # the x pass runs min(blocks, n/16) lanes: one at 16^3, whatever the count, two at 32^3
+    # in slabs of 8 rows, against one in slabs of 16; at 64^3 three, then four of 4 rows
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("blocks", [2, 3, 5, 40])
     def test_solves(self, monkeypatch, n, blocks):
         u = perturbed_field(n)
 

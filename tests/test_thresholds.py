@@ -127,6 +127,23 @@ class TestAdmissibility:
             th.admissibility(-1.0, 1.0, IDENTITY, 1.0, 3)
 
 
+class TestMomentOdeRate:
+    @pytest.mark.parametrize(
+        "w, m_tot, text",
+        [(w, 1.0, "weighted moment must be non-negative and finite")
+         for w in (-1.0, math.nan, math.inf)]
+        + [(1.0, m, "mass must be positive and finite") for m in (-1.0, 0.0, math.nan, math.inf)],
+    )
+    def test_rejects_bad_moment_or_mass(self, w, m_tot, text):
+        with pytest.raises(NonPositiveMoment, match=text):
+            th.moment_ode_rate(w, m_tot, IDENTITY, 1.0, 3)
+
+    def test_zero_moment_is_the_aggregation_term(self):
+        # admissibility evaluates f at w = 0 when m0 = 0
+        want = -fn.aggregation_coefficient(IDENTITY, 1.0, 3) * 2.0**2.5
+        assert th.moment_ode_rate(0.0, 2.0, IDENTITY, 1.0, 3) == want
+
+
 class TestRescaleEpsilon:
     def test_at_threshold_epsilon_is_one(self):
         c_bl = th.blowup_constant(IDENTITY, 1.0, 3)
