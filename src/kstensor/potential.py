@@ -61,6 +61,7 @@ _SLAB_ROWS = 16  # ky rows per slab buffer, over all lanes of the x pass: 0.5 MB
 
 _FFT_WORKERS = -1  # scipy.fft uses all available cores
 _BLOCKS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_MIN_BLOCK_CELLS = 1 << 15  # cells per step-kernel block: 32^3 runs in one block, 64^3 in two+
 
 logger = logging.getLogger(__name__)
 
@@ -70,15 +71,21 @@ def _pool(pid: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(_BLOCKS - 1, thread_name_prefix="kstensor-blocks")
 
 
-def _in_blocks(task, n: int, *args) -> list:
-    """[task(lo, hi, *args) for each of min(_BLOCKS, n) contiguous blocks [lo, hi) of range(n)].
+def _in_blocks(task, n: int, blocks: int, *args) -> list:
+    """[task(lo, hi, *args) for each of min(blocks, n) contiguous blocks [lo, hi) of range(n)].
 
     The first block runs on the caller, the rest on the pool. A task writes only its block,
-    by the same operations per element as one block, and never calls this helper.
+    by the same operations per element as one block, and never calls this helper. A step kernel
+    makes one call (the drift two) on rows along axis 0, in `_step_blocks` blocks: one below
+    the floor. Its tasks read a halo row of read-only inputs across each cut.
     """
-    cuts = sorted({n * b // _BLOCKS for b in range(_BLOCKS + 1)})  # no empty block
+    cuts = sorted({n * b // blocks for b in range(blocks + 1)})  # no empty block
     rest = [_pool(os.getpid()).submit(task, *lohi, *args) for lohi in zip(cuts[1:-1], cuts[2:])]
     return [task(cuts[0], cuts[1], *args)] + [f.result() for f in rest]
+
+
+def _step_blocks(cells: int) -> int:  # one per CPU, none smaller than the floor
+    return min(_BLOCKS, max(1, cells // _MIN_BLOCK_CELLS)) if _MIN_BLOCK_CELLS else _BLOCKS
 
 
 def unit_ball_volume(n: int) -> float:
@@ -173,7 +180,7 @@ def ball_values(grid: Grid3, mass: float, radius: float, center=(0.0, 0.0, 0.0))
 
 @dataclass
 class DensityField:
-    """Non-negative cell-centered density on a Grid3."""
+    """Non-negative cell-centered density on a Grid3, with the min_value and max_value of it."""
 
     grid: Grid3
     values: np.ndarray
@@ -183,10 +190,11 @@ class DensityField:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (n, n, n):
             raise ValueError(f"values shape {self.values.shape} != grid {(n, n, n)}")
-        if not np.all(np.isfinite(self.values)):
+        self.min_value, self.max_value = float(self.values.min()), float(self.values.max())
+        if not np.isfinite((self.min_value, self.max_value)).all():  # NaN reaches both, inf one
             raise ValueError("non-finite values detected in the density field")
-        if self.values.min() < 0.0:
-            raise ValueError(f"density must be non-negative (min = {self.values.min():.3e})")
+        if self.min_value < 0.0:
+            raise ValueError(f"density must be non-negative (min = {self.min_value:.3e})")
 
     @property
     def mass(self) -> float:
@@ -312,13 +320,17 @@ def _inverse_yz(spec: np.ndarray, n: int, scale: complex) -> np.ndarray:
     return sfft.irfft(out, n=2 * n, axis=2, workers=_FFT_WORKERS)[:, :, :n]
 
 
-def _centered(u: np.ndarray, ax: int, h: float, d: np.ndarray | None = None) -> np.ndarray:
-    """Central difference along axis ax, one-sided at the box faces; into d if given."""
+def _centered(u: np.ndarray, ax: int, h: float, d: np.ndarray | None = None,
+              lo: int = 0, hi: float = math.inf) -> np.ndarray:
+    """Central difference along ax, one-sided at the box faces, into rows lo:hi along ax of d."""
     d = np.empty_like(u) if d is None else d
     ua, da = np.moveaxis(u, ax, 0), np.moveaxis(d, ax, 0)
-    da[1:-1] = (ua[2:] - ua[:-2]) / (2.0 * h)
-    da[0] = (ua[1] - ua[0]) / h
-    da[-1] = (ua[-1] - ua[-2]) / h
+    a, b = max(lo, 1), min(hi, len(ua) - 1)  # the rows with a neighbour on each side
+    np.divide(ua[a + 1 : b + 1] - ua[a - 1 : b - 1], 2.0 * h, out=da[a:b])
+    if lo == 0:
+        da[0] = (ua[1] - ua[0]) / h
+    if hi >= len(ua):
+        da[-1] = (ua[-1] - ua[-2]) / h
     return d
 
 
@@ -328,9 +340,10 @@ def _solve_fast(u: DensityField, with_gradient: bool = True):
     if n < FAST_MIN_CELLS:
         raise GridTooSmall(f"n_cells = {n} < {FAST_MIN_CELLS}")
     tab = _tables_for(n)
-    # z and y transforms of the n x rows that hold data
-    half = sfft.rfft(u.values, n=2 * n, axis=2, workers=_FFT_WORKERS)
-    half = sfft.fft(half, n=2 * n, axis=1, overwrite_x=True, workers=_FFT_WORKERS)
+    # z and y transforms of the n x rows that hold data, padded by hand (scipy's allocates anew)
+    half = np.zeros((n, 2 * n, n + 1), dtype=complex)
+    half[:, :n] = sfft.rfft(u.values, n=2 * n, axis=2, workers=_FFT_WORKERS)
+    half = sfft.fft(half, axis=1, overwrite_x=True, workers=_FFT_WORKERS)
     # per call, so concurrent solves share nothing; the slab buffers come from this thread's heap
     # (a pool thread's arena keeps freed memory resident). A lane per 16 cells of side, up to the
     # CPU count (at 16^3 a second lane costs more than it saves), all sharing _SLAB_ROWS
@@ -338,7 +351,7 @@ def _solve_fast(u: DensityField, with_gradient: bool = True):
     specs = [np.empty_like(half) for _ in tables[1:]]
     lanes = min(_BLOCKS, n // 16, _SLAB_ROWS)
     shape = (lanes, min(len(tables), 2), 2 * n, _SLAB_ROWS // lanes, n + 1)
-    _in_blocks(_x_pass, lanes, half, tables, specs + [half], np.empty(shape, dtype=complex))
+    _in_blocks(_x_pass, lanes, lanes, half, tables, specs + [half], np.empty(shape, dtype=complex))
     # cell volume h^3 times the unit tables' 1/h (K) and i/h^2 (grad K); the
     # defect correction is the left operand, so the results are contiguous
     grads = []

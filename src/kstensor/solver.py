@@ -15,9 +15,10 @@ Each step splits the dynamics:
    clamp. The CFL-limited steps of a collapse run take a single sub-step.
 
 `step` and `run` share one drift kernel, one advection and one diffusion,
-so a step runs a run's code. Their whole-grid passes (centred differences,
-face speeds, outflow rate, advection, diffusion) run in one block per usable
-CPU, cut along an axis they do not difference, bitwise equal for any count.
+so a step runs a run's code. Each cuts the grid along axis 0, a block per usable
+CPU (one below a size floor), and a block runs every axis for its own rows,
+reading a halo row of its read-only inputs at each cut: one hand-off to the pool
+per kernel, two for the drift, and the same bits for any block count.
 The step size adapts to the advective CFL limit; runs stop at t_end, on the
 sup-norm blow-up trigger, or when dt collapses below dt_min (both of the
 latter report NumericalBlowup with evidence attached).
@@ -47,9 +48,9 @@ from .potential import (
     FAST_MIN_CELLS,
     DensityField,
     Grid3,
-    _BLOCKS,
     _centered,
     _in_blocks,
+    _step_blocks,
     ball_values,
     gaussian_values,
     load_field,
@@ -209,11 +210,6 @@ def make_initial_data(
     return u
 
 
-def _lines(a: np.ndarray, ax: int, lo: int, hi: int) -> np.ndarray:
-    """Whole lines of `a` along axis ax, that axis first, cut to lo:hi on the first other axis."""
-    return np.moveaxis(a, ax, 0)[:, lo:hi]
-
-
 def _drift(
     v: np.ndarray | None, flux: FluxTensor, chi: float, h: float
 ) -> tuple[list[np.ndarray] | None, float]:
@@ -226,27 +222,36 @@ def _drift(
     """
     if chi == 0.0:
         return None, 0.0
-    a, grad, out = flux.a, [np.empty_like(v) for _ in range(3)], np.zeros_like(v)
+    a, grad, out, n = flux.a, [np.empty_like(v) for _ in range(3)], np.zeros_like(v), len(v)
     bfaces = [np.empty_like(np.moveaxis(v, ax, 0)[1:]) for ax in range(3)]  # face axis first
 
     def centred(lo: int, hi: int) -> None:
-        for o, g in enumerate(grad):
-            _centered(_lines(v, o, lo, hi), 0, h, _lines(g, o, lo, hi))
+        _centered(v, 0, h, grad[0], lo, hi)
+        for o in (1, 2):
+            _centered(v[lo:hi], o, h, grad[o][lo:hi])
 
-    def faces(lo: int, hi: int, ax: int) -> float:
-        vm, bm, om = _lines(v, ax, lo, hi), bfaces[ax][:, lo:hi], _lines(out, ax, lo, hi)
-        np.multiply(chi * a[ax, ax] / h, vm[1:] - vm[:-1], out=bm)
+    def speeds(ax: int, lo: int, hi: int, bm: np.ndarray) -> np.ndarray:  # faces normal to ax
+        np.multiply(chi * a[ax, ax] / h, np.diff(np.moveaxis(v[lo:hi], ax, 0), axis=0), out=bm)
         for o in np.flatnonzero(a[ax]):  # zero entries of A are skipped
             if o != ax:
-                gm = _lines(grad[o], ax, lo, hi)
+                gm = np.moveaxis(grad[o][lo:hi], ax, 0)
                 bm += (0.5 * chi * a[ax, o]) * (gm[1:] + gm[:-1])
-        om[:-1] += np.maximum(bm, 0.0)  # outflow through the right face
-        om[1:] += np.maximum(-bm, 0.0)  # outflow through the left face
-        return om.max() if ax == 2 else 0.0  # rows lo:hi are whole once axis 2 is in
+        return bm
 
-    _in_blocks(centred, len(v))
-    maxima = [_in_blocks(faces, len(v), ax) for ax in range(3)]
-    return bfaces, float(max(maxima[2]))
+    def faces(lo: int, hi: int) -> float:
+        last = min(hi, n - 1)  # x faces lo..last-1 are this block's; face lo-1 is the one before's
+        out[lo:last] += np.maximum(speeds(0, lo, last + 1, bfaces[0][lo:last]), 0.0)  # right face
+        if lo > 0:
+            out[lo] += np.maximum(-speeds(0, lo - 1, lo + 1, np.empty_like(v[:1]))[0], 0.0)
+        out[lo + 1 : hi] += np.maximum(-bfaces[0][lo : hi - 1], 0.0)  # and the left face
+        for ax in (1, 2):
+            bm, om = speeds(ax, lo, hi, bfaces[ax][:, lo:hi]), np.moveaxis(out[lo:hi], ax, 0)
+            om[:-1] += np.maximum(bm, 0.0)
+            om[1:] += np.maximum(-bm, 0.0)
+        return out[lo:hi].max()
+
+    _in_blocks(centred, n, _step_blocks(v.size))
+    return bfaces, float(max(_in_blocks(faces, n, _step_blocks(v.size))))
 
 
 def _advect(u: np.ndarray, bfaces: list[np.ndarray] | None, dt: float, h: float) -> np.ndarray:
@@ -256,42 +261,47 @@ def _advect(u: np.ndarray, bfaces: list[np.ndarray] | None, dt: float, h: float)
     """
     if bfaces is None:
         return u
-    un = u.copy()
+    un, n = np.empty_like(u), len(u)
 
-    def transport(lo: int, hi: int, ax: int) -> None:
-        ua, bf, duo = _lines(u, ax, lo, hi), bfaces[ax][:, lo:hi], _lines(un, ax, lo, hi)
-        flux = np.where(bf > 0.0, ua[:-1], ua[1:]) * bf * (dt / h)
-        duo[:-1] -= flux
-        duo[1:] += flux
+    def transport(lo: int, hi: int) -> None:
+        un[lo:hi] = u[lo:hi]
+        first, last = max(lo - 1, 0), min(hi, n - 1)  # x faces first..last-1 touch rows lo..hi-1
+        passes = [(u[first : last + 1], bfaces[0][first:last], un[lo:last], un[max(lo, 1) : hi])]
+        for ax in (1, 2):
+            ua, duo = np.moveaxis(u[lo:hi], ax, 0), np.moveaxis(un[lo:hi], ax, 0)
+            passes.append((ua, bfaces[ax][:, lo:hi], duo[:-1], duo[1:]))
+        for ua, bf, right, left in passes:  # a cell loses its right face's flux, gains its left's
+            flux = np.where(bf > 0.0, ua[:-1], ua[1:]) * bf * (dt / h)
+            right -= flux[len(flux) - len(right) :]
+            left += flux[: len(left)]
 
-    for ax in range(3):
-        _in_blocks(transport, len(u), ax)
+    _in_blocks(transport, n, _step_blocks(u.size))
     return un
 
 
 def _diffuse(values: np.ndarray, grid: Grid3, dt: float) -> np.ndarray:
     """Heat flow over dt by explicit 7-point sub-steps, each with nu <= 1/6."""
-    h = grid.h
+    h, n = grid.h, grid.n_cells
     nu = dt / (h * h)
     substeps = max(1, math.ceil(6.0 * nu))
     if nu / substeps > 1.0 / 6.0:  # 6.0 * nu rounded down to an integer
         substeps += 1
     nu /= substeps
 
-    def heat(lo: int, hi: int, ax: int) -> None:
-        ua, la = _lines(values, ax, lo, hi), _lines(lap, ax, lo, hi)
-        la[1:] += ua[:-1]
-        la[0] += ua[0]
-        la[:-1] += ua[1:]
-        la[-1] += ua[-1]
-        if ax == 2:  # rows lo:hi are whole: lap becomes values + nu * lap, in place
-            la *= nu
-            la += ua
+    def heat(lo: int, hi: int) -> None:
+        ua, la = values[lo:hi], np.multiply(values[lo:hi], -6.0, out=lap[lo:hi])
+        for ax in range(3):  # x neighbours across the cuts: rows lo-1, hi; a wall row is its own
+            ub, lb = np.moveaxis(ua, ax, 0), np.moveaxis(la, ax, 0)
+            lb[1:] += ub[:-1]
+            lb[0] += values[max(lo - 1, 0)] if ax == 0 else ub[0]
+            lb[:-1] += ub[1:]
+            lb[-1] += values[min(hi, n - 1)] if ax == 0 else ub[-1]
+        la *= nu  # lap becomes values + nu * lap, in place
+        la += ua
 
     for _ in range(substeps):
-        lap = -6.0 * values
-        for ax in range(3):
-            _in_blocks(heat, len(values), ax)
+        lap = np.empty_like(values)
+        _in_blocks(heat, n, _step_blocks(values.size))
         values = lap
     return values
 
@@ -323,7 +333,7 @@ def run(config: SimConfig) -> SimOutcome:
     grid = config.grid
     h = grid.h
     u = make_initial_data(config.initial, grid, config.epsilon)
-    sup0 = float(u.values.max())
+    sup0 = u.max_value
     if sup0 <= 0.0:
         raise ConfigInvalid("initial data is identically zero")
 
@@ -334,7 +344,7 @@ def run(config: SimConfig) -> SimOutcome:
     dt = config.dt_max
     status = "CompletedToTEnd"
     message = ""
-    min_density = float(u.values.min())
+    min_density = u.min_value
     dt_limits, dts = dict.fromkeys(("dt_max", "rate", "land"), 0), []
     phase_s = dict.fromkeys(("potential", "drift", "advance", "record", "output"), 0.0)
     lap_start = time.perf_counter()
@@ -357,7 +367,7 @@ def run(config: SimConfig) -> SimOutcome:
     v = _record(u, t)
     logger.info(
         "run start: %d^3 grid, h=%.4g, chi=%.6g, sup0=%.6g, mass=%.12g, %d row blocks",
-        grid.n_cells, h, config.chi, sup0, u.mass, _BLOCKS,
+        grid.n_cells, h, config.chi, sup0, u.mass, _step_blocks(grid.n_cells ** 3),
     )
 
     while t < config.t_end:
@@ -389,7 +399,7 @@ def run(config: SimConfig) -> SimOutcome:
             logger.error("aborting at t=%.6g: %s", t, message)
             break
         v = bfaces = None  # freed before a record's full solve
-        min_density = min(min_density, float(u.values.min()))
+        min_density = min(min_density, u.min_value)
         t = stop if land else t + dt
         steps += 1
         dt_limits[limit] += 1
@@ -404,11 +414,10 @@ def run(config: SimConfig) -> SimOutcome:
         _lap("output")
         if steps % config.diagnostics_every == 0:
             v = _record(u, t)
-        sup = float(u.values.max())
-        if sup >= config.blowup_factor * sup0:
+        if u.max_value >= config.blowup_factor * sup0:
             status = "NumericalBlowup"
             message = (
-                f"sup norm reached {sup / sup0:.1f} x initial "
+                f"sup norm reached {u.max_value / sup0:.1f} x initial "
                 f"(threshold {config.blowup_factor:g})"
             )
             break
@@ -416,7 +425,7 @@ def run(config: SimConfig) -> SimOutcome:
     if records[-1].t < t:
         _record(u, t)
     fill_dwdt_measured(records)
-    growth = float(u.values.max()) / sup0
+    growth = u.max_value / sup0
     outcome = SimOutcome(
         status=status,
         t_final=t,

@@ -176,6 +176,19 @@ class TestDensityField:
         with pytest.raises(ValueError):
             DensityField(g, vals)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_each_non_finite_value_by_name(self, bad):
+        # finiteness is read off the minimum and maximum: NaN reaches both, an infinity one
+        vals = np.ones((4, 4, 4))
+        vals[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="^non-finite values detected in the density field$"):
+            DensityField(Grid3(4, 1.0), vals)
+
+    def test_keeps_its_extremes(self):
+        vals = np.random.default_rng(3).random((4, 4, 4))
+        u = DensityField(Grid3(4, 1.0), vals)
+        assert (u.min_value, u.max_value) == (vals.min(), vals.max())
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             DensityField(Grid3(4, 1.0), np.ones((4, 4, 5)))

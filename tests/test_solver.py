@@ -5,6 +5,7 @@ import os
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, fields
 from pathlib import Path
 
@@ -442,7 +443,7 @@ class TestRun:
         for key, dt in stats.items():
             assert f"{key}={dt:.12e}\n" in text
         messages = [r.getMessage() for r in caplog.records if r.name == "kstensor.solver"]
-        assert f"{potential._BLOCKS} row blocks" in messages[0]
+        assert f"{potential._step_blocks(cfg.n_cells ** 3)} row blocks" in messages[0]
         assert f"dt_median={stats['dt_median']:.3e}" in messages[-1]
 
     def test_no_dt_stats_without_a_step(self, tmp_path):
@@ -756,12 +757,15 @@ class TestRowBlocks:
     """The passes between the FFTs give the same bits for any block count.
 
     At 16^3, 3 blocks cut the cells 5/5/6; at 64^3 they cut the x pass's 128 spectrum rows
-    into lanes of 42/43/43, walked in slabs of 5 rows with a short last slab.
+    into lanes of 42/43/43, walked in slabs of 5 rows with a short last slab. The step
+    kernels' size floor is off, so they cut a 16^3 grid too; 40 blocks give one row each,
+    so that every row reads its halo rows across a cut.
     """
 
     @staticmethod
     def with_blocks(monkeypatch, blocks, compute):
         monkeypatch.setattr(potential, "_BLOCKS", blocks)
+        monkeypatch.setattr(potential, "_MIN_BLOCK_CELLS", 0)
         return compute()
 
     @FACE_MATRICES
@@ -810,6 +814,54 @@ class TestRowBlocks:
 
     @FACE_MATRICES
     @pytest.mark.parametrize("blocks", [2, 3])
+    def test_step_kernels_at_64_with_the_floor_on(self, monkeypatch, matrix, blocks):
+        # above the floor: 2 blocks of 32 rows, 3 of 21/21/22, without forcing the floor off
+        flux = FluxTensor.from_matrix(np.array(matrix))
+        u = perturbed_field(64)
+        h = u.grid.h
+        v = sv.solve_potential_v(u)
+
+        def kernels():
+            bfaces, rate = sv._drift(v, flux, 30.0, h)
+            dt = 0.9 * h / rate
+            return [*bfaces, rate, sv._advect(u.values, bfaces, dt, h),
+                    sv._diffuse(u.values, u.grid, 2.0 * h * h)]
+
+        monkeypatch.setattr(potential, "_BLOCKS", 1)
+        want = kernels()
+        monkeypatch.setattr(potential, "_BLOCKS", blocks)
+        assert potential._step_blocks(u.values.size) == blocks
+        for g, w in zip(kernels(), want):
+            np.testing.assert_array_equal(g, w)
+
+    def test_below_the_floor_a_step_submits_nothing(self, monkeypatch):
+        submitted, pool = [], ThreadPoolExecutor(1)
+
+        class Recorder:
+            def submit(self, *args):
+                submitted.append(args)
+                return pool.submit(*args)
+
+        monkeypatch.setattr(potential, "_BLOCKS", 2)
+        monkeypatch.setattr(potential, "_pool", lambda pid: Recorder())
+        flux = FluxTensor.from_matrix(np.eye(3))
+        try:
+            sv.step(perturbed_field(16), flux, 30.0, 1e-3)
+            assert not submitted
+            u = perturbed_field(32)  # its solve runs two x-pass lanes; its kernels one block
+            v = sv.solve_potential_v(u)
+            submitted.clear()
+            bfaces, rate = sv._drift(v, flux, 30.0, u.grid.h)
+            sv._diffuse(sv._advect(u.values, bfaces, 1e-3, u.grid.h), u.grid, 1e-3)
+            assert not submitted
+            monkeypatch.setattr(potential, "_MIN_BLOCK_CELLS", 0)  # the recorder sees a cut
+            sv._diffuse(u.values, u.grid, 1e-3)
+            assert len(submitted) == 1
+        finally:
+            pool.shutdown()
+
+    @FACE_MATRICES
+    @pytest.mark.parametrize("blocks", [2, 3])
     def test_run_records(self, monkeypatch, matrix, blocks):
         want = record_rows(self.with_blocks(monkeypatch, 1, lambda: short_run(matrix=matrix)))
         assert record_rows(self.with_blocks(monkeypatch, blocks, lambda: short_run(matrix=matrix))) == want
@@ -825,8 +877,9 @@ class TestRowBlocks:
 
 class TestConcurrency:
     def test_runs_on_two_threads_match_serial_runs(self, monkeypatch):
-        # 3 blocks from each of 2 runs: more workers than CPUs, switching often
+        # 3 blocks from each of 2 runs: more workers than CPUs, switching often; no size floor
         monkeypatch.setattr(potential, "_BLOCKS", 3)
+        monkeypatch.setattr(potential, "_MIN_BLOCK_CELLS", 0)
         chis = (30.0, 60.0)
         serial = [record_rows(short_run(chi)) for chi in chis]
         results = [None, None]
@@ -850,11 +903,16 @@ class TestConcurrency:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_builds_its_own_pool(self, monkeypatch):
         monkeypatch.setattr(potential, "_BLOCKS", 2)
+        monkeypatch.setattr(potential, "_MIN_BLOCK_CELLS", 0)
         u = perturbed_field(16)
-        want = sv.solve_potential_fast(u).v  # the parent's pool has run
+
+        def work():  # the 16^3 solve runs one x-pass lane; the diffusion's second block, the pool
+            return [sv.solve_potential_fast(u).v, sv._diffuse(u.values, u.grid, 1e-3)]
+
+        want = work()  # the parent's pool has run
 
         def child():
-            if not np.array_equal(sv.solve_potential_fast(u).v, want):
+            if not all(np.array_equal(g, w) for g, w in zip(work(), want)):
                 raise SystemExit(1)
 
         proc = multiprocessing.get_context("fork").Process(target=child)
