@@ -38,9 +38,9 @@ def _report(**fields) -> None:
 
 
 def _read_matrix(args) -> np.ndarray:
-    if getattr(args, "inline", None):
+    if args.inline:
         return parse_matrix_inline(args.inline)
-    if getattr(args, "file", None):
+    if args.file:
         return load_matrix(args.file)
     raise ValueError("provide a matrix via --file or --inline")
 

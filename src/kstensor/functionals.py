@@ -102,7 +102,7 @@ def lq_norm(u: DensityField, q: float) -> float:
     """Lebesgue norm (h^3 sum u^q)^(1/q) for q >= 1, scaled by max u so u^q cannot underflow."""
     if not 1.0 <= q < math.inf:
         raise BadParameter(f"q must be finite and >= 1, got {q}")
-    linf = float(u.values.max()) or 1.0  # a zero field keeps its norm 0
+    linf = u.max_value or 1.0  # a zero field keeps its norm 0
     scaled = u.values / linf
     scaled **= q  # in place: one grid temporary
     return linf * float((u.grid.cell_volume * np.sum(scaled)) ** (1.0 / q))
@@ -229,7 +229,7 @@ def gradv_sup_bound(
     Returns (bound, gamma_used).
     """
     _require_dimension(n)
-    linf = float(u.values.max())
+    linf = u.max_value
     m_tot = u.mass
     if linf <= 0.0 or m_tot <= 0.0:
         raise ZeroField("gradient bound requires a nonzero density")
@@ -300,7 +300,7 @@ def compute_record(
         m2=float(np.trace(s)),
         w=w,
         J=interaction_integral(u, pot=pot),
-        linf=float(u.values.max()),
+        linf=u.max_value,
         lq=lq_norm(u, 1.5),
         gradv_sup=math.sqrt(pot.gradient_squared().max()),
         dwdt_measured=math.nan,

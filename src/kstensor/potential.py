@@ -85,7 +85,7 @@ def _in_blocks(task, n: int, blocks: int, *args) -> list:
 
 
 def _step_blocks(cells: int) -> int:  # one per CPU, none smaller than the floor
-    return min(_BLOCKS, max(1, cells // _MIN_BLOCK_CELLS)) if _MIN_BLOCK_CELLS else _BLOCKS
+    return min(_BLOCKS, max(1, cells // _MIN_BLOCK_CELLS))
 
 
 def unit_ball_volume(n: int) -> float:
@@ -180,7 +180,7 @@ def ball_values(grid: Grid3, mass: float, radius: float, center=(0.0, 0.0, 0.0))
 
 @dataclass
 class DensityField:
-    """Non-negative cell-centered density on a Grid3, with the min_value and max_value of it."""
+    """Non-negative cell-centered density on a Grid3, read-only once built, with its min and max."""
 
     grid: Grid3
     values: np.ndarray
@@ -195,6 +195,7 @@ class DensityField:
             raise ValueError("non-finite values detected in the density field")
         if self.min_value < 0.0:
             raise ValueError(f"density must be non-negative (min = {self.min_value:.3e})")
+        self.values.flags.writeable = False  # no copy: a rejected array stays writable
 
     @property
     def mass(self) -> float:

@@ -28,8 +28,6 @@ from .potential import (
 
 logger = logging.getLogger(__name__)
 
-SUITES = ("potential-oracle", "biler", "gradv-bound", "moment-identity", "all")
-
 # (name, density, its fast-solved potential) for each density of a battery
 Battery = list[tuple[str, DensityField, PotentialField]]
 
@@ -185,6 +183,7 @@ _BATTERY_SUITES = {
     "gradv-bound": suite_gradv_bound,
     "moment-identity": suite_moment_identity,
 }
+SUITES = ("potential-oracle", *_BATTERY_SUITES, "all")
 
 
 def run_suite(name: str, battery: Battery | None = None) -> list[CaseResult]:

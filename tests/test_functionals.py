@@ -511,6 +511,23 @@ class TestDiagnostics:
         rec = fn.compute_record(u, FluxTensor.from_matrix(np.eye(3)), 1.0, 0.0, pot=pot)
         assert rec.gradv_sup == float(pot.gradient_magnitude().max())
 
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_sup_norm_readers_bitwise_as_reductions_of_values(self, n):
+        # linf, lq and the |grad v| bound read the field's kept max: the same bits as a new pass
+        flux = FluxTensor.from_matrix(np.eye(3))
+        for name, u in density_suite(n, 4.0):
+            vals, m_tot, omega = u.values, u.mass, potential.unit_ball_volume(3)
+            linf = float(vals.max())
+            scaled = vals / linf
+            scaled **= 1.5
+            lq = linf * float((u.grid.cell_volume * np.sum(scaled)) ** (1.0 / 1.5))
+            gamma = (2.0 * m_tot / (3 * omega * linf)) ** (1.0 / 3)
+            bound = gamma * linf + gamma ** (1.0 - 3) * m_tot / (3 * omega)
+            rec = fn.compute_record(u, flux, 1.0, 0.0, pot=solve_potential_fast(u))
+            assert rec.linf.hex() == linf.hex(), name
+            assert rec.lq.hex() == fn.lq_norm(u, 1.5).hex() == lq.hex(), name
+            assert [x.hex() for x in fn.gradv_sup_bound(u)] == [bound.hex(), gamma.hex()], name
+
     def test_boundary_fraction_zero_for_compact(self):
         u = gaussian_field(Grid3(32, 8.0), sigma=0.5)
         assert fn.boundary_mass_fraction(u) < 1e-10

@@ -193,6 +193,30 @@ class TestDensityField:
         with pytest.raises(ValueError):
             DensityField(Grid3(4, 1.0), np.ones((4, 4, 5)))
 
+    def test_values_are_read_only(self):
+        u = DensityField(Grid3(4, 1.0), np.ones((4, 4, 4)))
+        with pytest.raises(ValueError, match="read-only"):
+            u.values[0, 0, 0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            u.values *= 2.0
+        assert (u.min_value, u.max_value) == (1.0, 1.0)
+
+    def test_freezes_the_callers_float64_array_without_a_copy(self):
+        vals = np.random.default_rng(4).random((4, 4, 4))
+        u = DensityField(Grid3(4, 1.0), vals)
+        assert u.values is vals
+        assert not vals.flags.writeable
+
+    @pytest.mark.parametrize("bad", [np.nan, -1.0])
+    def test_a_rejected_array_stays_writable(self, bad):
+        vals = np.ones((4, 4, 4))
+        vals[1, 2, 3] = bad
+        with pytest.raises(ValueError):
+            DensityField(Grid3(4, 1.0), vals)
+        assert vals.flags.writeable
+        vals[1, 2, 3] = 1.0  # the caller may repair it and build again
+        assert DensityField(Grid3(4, 1.0), vals).max_value == 1.0
+
     def test_mass(self):
         g = Grid3(4, 1.0)
         u = DensityField(g, np.ones((4, 4, 4)))

@@ -758,14 +758,14 @@ class TestRowBlocks:
 
     At 16^3, 3 blocks cut the cells 5/5/6; at 64^3 they cut the x pass's 128 spectrum rows
     into lanes of 42/43/43, walked in slabs of 5 rows with a short last slab. The step
-    kernels' size floor is off, so they cut a 16^3 grid too; 40 blocks give one row each,
+    kernels' size floor is one cell, so they cut a 16^3 grid too; 40 blocks give one row each,
     so that every row reads its halo rows across a cut.
     """
 
     @staticmethod
     def with_blocks(monkeypatch, blocks, compute):
         monkeypatch.setattr(potential, "_BLOCKS", blocks)
-        monkeypatch.setattr(potential, "_MIN_BLOCK_CELLS", 0)
+        monkeypatch.setattr(potential, "_MIN_BLOCK_CELLS", 1)
         return compute()
 
     @FACE_MATRICES
@@ -854,7 +854,7 @@ class TestRowBlocks:
             bfaces, rate = sv._drift(v, flux, 30.0, u.grid.h)
             sv._diffuse(sv._advect(u.values, bfaces, 1e-3, u.grid.h), u.grid, 1e-3)
             assert not submitted
-            monkeypatch.setattr(potential, "_MIN_BLOCK_CELLS", 0)  # the recorder sees a cut
+            monkeypatch.setattr(potential, "_MIN_BLOCK_CELLS", 1)  # the recorder sees a cut
             sv._diffuse(u.values, u.grid, 1e-3)
             assert len(submitted) == 1
         finally:
@@ -877,9 +877,9 @@ class TestRowBlocks:
 
 class TestConcurrency:
     def test_runs_on_two_threads_match_serial_runs(self, monkeypatch):
-        # 3 blocks from each of 2 runs: more workers than CPUs, switching often; no size floor
+        # 3 blocks from each of 2 runs: more workers than CPUs, switching often; a 1-cell floor
         monkeypatch.setattr(potential, "_BLOCKS", 3)
-        monkeypatch.setattr(potential, "_MIN_BLOCK_CELLS", 0)
+        monkeypatch.setattr(potential, "_MIN_BLOCK_CELLS", 1)
         chis = (30.0, 60.0)
         serial = [record_rows(short_run(chi)) for chi in chis]
         results = [None, None]
@@ -903,7 +903,7 @@ class TestConcurrency:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_builds_its_own_pool(self, monkeypatch):
         monkeypatch.setattr(potential, "_BLOCKS", 2)
-        monkeypatch.setattr(potential, "_MIN_BLOCK_CELLS", 0)
+        monkeypatch.setattr(potential, "_MIN_BLOCK_CELLS", 1)
         u = perturbed_field(16)
 
         def work():  # the 16^3 solve runs one x-pass lane; the diffusion's second block, the pool
