@@ -17,15 +17,13 @@ import numpy as np
 
 from . import thresholds as th
 from .errors import KSTensorError
-from .matrixflux import FluxTensor, load_matrix, parse_matrix_inline
+from .matrixflux import FluxTensor, read_matrix
 from .solver import load_config, run
 from .verify import SUITES, run_suite
 
-_FMT = "{:.12g}"
-
 
 def _fmt(x) -> str:
-    return _FMT.format(float(x))
+    return f"{float(x):.12g}"
 
 
 def _report(**fields) -> None:
@@ -37,16 +35,8 @@ def _report(**fields) -> None:
             print(f"{key}={_fmt(val) if isinstance(val, float) else val}")
 
 
-def _read_matrix(args) -> np.ndarray:
-    if args.inline:
-        return parse_matrix_inline(args.inline)
-    if args.file:
-        return load_matrix(args.file)
-    raise ValueError("provide a matrix via --file or --inline")
-
-
 def cmd_check_matrix(args) -> int:
-    flux = FluxTensor.from_matrix(_read_matrix(args))
+    flux = FluxTensor.from_matrix(read_matrix(args.inline, args.file))
     _report(
         n=flux.n, P=flux.p, U=flux.u_orth,
         angles=",".join(map(_fmt, flux.angles)) or "none",
@@ -58,7 +48,7 @@ def cmd_check_matrix(args) -> int:
 
 
 def cmd_thresholds(args) -> int:
-    flux = FluxTensor.from_matrix(_read_matrix(args))
+    flux = FluxTensor.from_matrix(read_matrix(args.inline, args.file))
     dim = flux.n if args.dim is None else args.dim
     verdict = th.admissibility(args.moment, args.mass, flux, args.chi, dim)
     _report(

@@ -191,11 +191,6 @@ def parse_matrix(text: str) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def load_matrix(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix(fh.read())
-
-
 def parse_matrix_inline(text: str) -> np.ndarray:
     """Parse a row-major comma-separated square matrix, e.g. '1,0,0,1' -> I2."""
     vals = [float(tok) for tok in text.split(",") if tok.strip()]
@@ -203,3 +198,13 @@ def parse_matrix_inline(text: str) -> np.ndarray:
     if n * n != len(vals):
         raise ValueError(f"{len(vals)} entries do not form a square matrix")
     return np.array(vals, dtype=float).reshape(n, n)
+
+
+def read_matrix(inline: str | None, path: str | None) -> np.ndarray:
+    """Parse `inline` if given, else the matrix text file at `path`; ValueError if neither is."""
+    if inline:
+        return parse_matrix_inline(inline)
+    if path:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_matrix(fh.read())
+    raise ValueError("no matrix given: use --inline or --file, or a config's matrix or matrix_file")

@@ -178,31 +178,33 @@ def ball_values(grid: Grid3, mass: float, radius: float, center=(0.0, 0.0, 0.0))
     return np.where(_squared_offset(grid, center) <= radius * radius, rho, 0.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DensityField:
-    """Non-negative cell-centered density on a Grid3, read-only once built, with its min and max."""
+    """Non-negative cell-centered density on a Grid3, a frozen value with its min and max."""
 
     grid: Grid3
     values: np.ndarray
 
     def __post_init__(self):
         n = self.grid.n_cells
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (n, n, n):
-            raise ValueError(f"values shape {self.values.shape} != grid {(n, n, n)}")
-        self.min_value, self.max_value = float(self.values.min()), float(self.values.max())
-        if not np.isfinite((self.min_value, self.max_value)).all():  # NaN reaches both, inf one
+        values = np.asarray(self.values, dtype=float)
+        if values.shape != (n, n, n):
+            raise ValueError(f"values shape {values.shape} != grid {(n, n, n)}")
+        lo, hi = float(values.min()), float(values.max())
+        if not np.isfinite((lo, hi)).all():  # NaN reaches both, inf one
             raise ValueError("non-finite values detected in the density field")
-        if self.min_value < 0.0:
-            raise ValueError(f"density must be non-negative (min = {self.min_value:.3e})")
-        self.values.flags.writeable = False  # no copy: a rejected array stays writable
+        if lo < 0.0:
+            raise ValueError(f"density must be non-negative (min = {lo:.3e})")
+        values.flags.writeable = False  # no copy: a rejected array stays writable
+        for name, value in (("values", values), ("min_value", lo), ("max_value", hi)):
+            object.__setattr__(self, name, value)
 
     @property
     def mass(self) -> float:
         return float(self.grid.cell_volume * self.values.sum())
 
 
-@dataclass
+@dataclass(frozen=True)
 class PotentialField:
     """Potential v and its gradient on the same grid as the source density."""
 
@@ -218,10 +220,6 @@ class PotentialField:
         sq += self.gy * self.gy
         sq += self.gz * self.gz
         return sq
-
-    def gradient_magnitude(self) -> np.ndarray:
-        sq = self.gradient_squared()
-        return np.sqrt(sq, out=sq)
 
 
 class _KernelTables:

@@ -43,7 +43,7 @@ from .functionals import (
     fill_dwdt_measured,
     write_csv,
 )
-from .matrixflux import FluxTensor, load_matrix, parse_matrix_inline
+from .matrixflux import FluxTensor, read_matrix
 from .potential import (
     FAST_MIN_CELLS,
     DensityField,
@@ -340,7 +340,6 @@ def run(config: SimConfig) -> SimOutcome:
     records: list[DiagnosticsRecord] = []
     pending_snapshots = sorted(config.snapshot_times)
     t = 0.0
-    steps = 0
     dt = config.dt_max
     status = "CompletedToTEnd"
     message = ""
@@ -401,7 +400,6 @@ def run(config: SimConfig) -> SimOutcome:
         v = bfaces = None  # freed before a record's full solve
         min_density = min(min_density, u.min_value)
         t = stop if land else t + dt
-        steps += 1
         dt_limits[limit] += 1
         dts.append(dt)
         _lap("advance")
@@ -412,7 +410,7 @@ def run(config: SimConfig) -> SimOutcome:
                 save_field(u.values, grid, path, "u", t)
             pending_snapshots.pop(0)
         _lap("output")
-        if steps % config.diagnostics_every == 0:
+        if len(dts) % config.diagnostics_every == 0:
             v = _record(u, t)
         if u.max_value >= config.blowup_factor * sup0:
             status = "NumericalBlowup"
@@ -430,7 +428,7 @@ def run(config: SimConfig) -> SimOutcome:
         status=status,
         t_final=t,
         records=records,
-        steps=steps,
+        steps=len(dts),
         dt_at_stop=dt,
         sup_growth_factor=growth,
         min_density=min_density,
@@ -443,7 +441,7 @@ def run(config: SimConfig) -> SimOutcome:
     )
     logger.info(
         "run end: %s at t=%.6g after %d steps (growth %.1fx, dt %.3e; dt limits %s; %s)",
-        status, t, steps, growth, dt, " ".join(f"{k}={c}" for k, c in dt_limits.items()),
+        status, t, len(dts), growth, dt, " ".join(f"{k}={c}" for k, c in dt_limits.items()),
         " ".join(f"{k}={x:.3e}" for k, x in outcome.dt_stats.items()),
     )
     if config.output_dir:
@@ -502,12 +500,8 @@ def parse_config(text: str, base_dir: str = ".") -> SimConfig:
         kv[key] = val.strip()
 
     try:
-        if "matrix" in kv:
-            matrix = parse_matrix_inline(kv["matrix"])
-        elif "matrix_file" in kv:
-            matrix = load_matrix(os.path.join(base_dir, kv["matrix_file"]))
-        else:
-            raise ConfigInvalid("config needs 'matrix' or 'matrix_file'")
+        path = kv.get("matrix_file")
+        matrix = read_matrix(kv.get("matrix"), path and os.path.join(base_dir, path))
         for key in _REQUIRED_KEYS:
             if key not in kv:
                 raise ConfigInvalid(f"missing required key {key!r}")

@@ -1,6 +1,7 @@
 import pytest
 
 from kstensor import potential
+from kstensor.matrixflux import read_matrix
 
 
 @pytest.fixture
@@ -16,3 +17,11 @@ def cpus(monkeypatch):
 
     yield use
     potential._pool.cache_clear()
+
+
+@pytest.fixture
+def no_matrix_message():
+    """The one error text of a missing flux matrix, on the command line and in a config."""
+    with pytest.raises(ValueError) as missing:
+        read_matrix(None, None)
+    return str(missing.value)

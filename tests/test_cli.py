@@ -49,9 +49,9 @@ class TestCheckMatrix:
         assert code == 1
         assert "error" in err
 
-    def test_missing_source_exit_one(self, capsys):
-        code, _, err = run_cli(capsys, "check-matrix")
-        assert code == 1
+    def test_missing_source_exit_one(self, capsys, no_matrix_message):
+        code, out, err = run_cli(capsys, "check-matrix")
+        assert (code, out, err) == (1, "", f"error: {no_matrix_message}\n")
 
     @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
     def test_non_finite_entry_exit_one(self, capsys, entry):
@@ -137,6 +137,10 @@ class TestThresholds:
         assert code == 1
         assert out == ""
         assert "does not match" in err
+
+    def test_missing_source_exit_one(self, capsys, no_matrix_message):
+        code, out, err = run_cli(capsys, "thresholds", "--chi", "1", "--mass", "1", "--moment", "1")
+        assert (code, out, err) == (1, "", f"error: {no_matrix_message}\n")
 
     def test_dimension_defaults_to_matrix_size(self, capsys):
         ident4 = ",".join("1" if i % 5 == 0 else "0" for i in range(16))

@@ -1,0 +1,30 @@
+"""The bitwise fingerprint tool (`tools/fingerprint.py`): its kernel part and its diff."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
+_spec = importlib.util.spec_from_file_location("fingerprint", TOOL)
+fingerprint = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(fingerprint)
+
+
+def test_kernels_at_16_cubed_give_the_same_bits_for_one_and_three_blocks():
+    one, three = (fingerprint.kernel_entries(16, blocks) for blocks in (1, 3))
+    assert sorted(one) == ["_advect", "_diffuse", "_drift/faces", "_drift/rate", "v"]
+    assert one == three
+
+
+def test_diff_names_each_differing_entry():
+    a = {"same": "0x1.0p+0", "float": "0x1.0p+0", "column": ["0x1.0p+0", "0x1.0p+1"],
+         "hash": "sha256:0", "gone": 1}
+    b = {"same": "0x1.0p+0", "float": "0x1.0000000000001p+0", "column": ["0x1.0p+0", "0x1.8p+1"],
+         "hash": "sha256:1", "new": 1}
+    assert fingerprint.diff(a, b) == [
+        "column: 1 of 2 values differ, largest relative difference 3.333e-01",
+        "float: 1 of 1 values differ, largest relative difference 2.220e-16",
+        "gone: only in A",
+        'hash: "sha256:0" != "sha256:1"',
+        "new: only in B",
+    ]
+    assert fingerprint.diff(a, a) == []

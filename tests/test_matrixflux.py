@@ -14,6 +14,7 @@ from kstensor.matrixflux import (
     parse_matrix,
     parse_matrix_inline,
     polar_decompose,
+    read_matrix,
     rotation_z,
 )
 
@@ -370,3 +371,15 @@ class TestMatrixText:
     def test_inline_rejects_non_square(self):
         with pytest.raises(ValueError):
             parse_matrix_inline("1,2,3")
+
+    def test_read_matrix_inline_before_file(self, tmp_path):
+        mfile = tmp_path / "m.txt"
+        mfile.write_text("0 -1 0\n1 0 0\n0 0 1\n")
+        np.testing.assert_array_equal(read_matrix("1,2,3,4", str(mfile)), [[1.0, 2.0], [3.0, 4.0]])
+        for inline in (None, ""):  # an empty inline text gives way to the file
+            np.testing.assert_array_equal(read_matrix(inline, str(mfile)), [[0, -1, 0], [1, 0, 0], [0, 0, 1]])
+
+    @pytest.mark.parametrize("inline, path", [(None, None), ("", ""), (None, "")])
+    def test_read_matrix_needs_a_source(self, inline, path):
+        with pytest.raises(ValueError, match="^no matrix given"):
+            read_matrix(inline, path)

@@ -1,6 +1,7 @@
 import logging
 import math
 import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -201,6 +202,14 @@ class TestDensityField:
             u.values *= 2.0
         assert (u.min_value, u.max_value) == (1.0, 1.0)
 
+    @pytest.mark.parametrize("name", ["values", "min_value", "max_value", "grid"])
+    def test_attributes_cannot_be_rebound(self, name):
+        # a rebound array would leave the kept extremes stale and be writable
+        u = DensityField(Grid3(16, 2.0), np.ones((16,) * 3))
+        with pytest.raises(FrozenInstanceError):
+            setattr(u, name, np.full((16,) * 3, 5.0))
+        assert (u.min_value, u.max_value) == (1.0, 1.0) and not u.values.flags.writeable
+
     def test_freezes_the_callers_float64_array_without_a_copy(self):
         vals = np.random.default_rng(4).random((4, 4, 4))
         u = DensityField(Grid3(4, 1.0), vals)
@@ -223,6 +232,16 @@ class TestDensityField:
         assert abs(u.mass - 8.0) < 1e-14  # box volume (2L)^3
 
 
+class TestPotentialField:
+    @pytest.mark.parametrize("name", ["grid", "v", "gx", "gy", "gz"])
+    def test_attributes_cannot_be_rebound(self, name):
+        pot = solve_potential_fast(gaussian_field(Grid3(16, 2.0), sigma=0.3))
+        before = getattr(pot, name)
+        with pytest.raises(FrozenInstanceError):
+            setattr(pot, name, np.zeros((16,) * 3))
+        assert getattr(pot, name) is before
+
+
 class TestOracleEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_fast_matches_direct(self, seed):
@@ -240,7 +259,7 @@ class TestOracleEquivalence:
         u = DensityField(grid, np.zeros((16, 16, 16)))
         pot = solve_potential_fast(u)
         assert np.all(pot.v == 0.0)
-        assert np.all(pot.gradient_magnitude() == 0.0)
+        assert np.all(np.sqrt(pot.gradient_squared()) == 0.0)
 
     def test_gradient_only_path_matches(self):
         grid = Grid3(16, 2.0)
@@ -605,17 +624,16 @@ class TestGaussianClosedForm:
         assert err <= 1e-2
 
     def test_gradient_error_below_one_percent(self):
-        gm = self.pot.gradient_magnitude()
+        gm = np.sqrt(self.pot.gradient_squared())
         err = np.max(np.abs(gm - self.g_exact)) / self.g_exact.max()
         assert err <= 1e-2
 
-    def test_magnitude_is_root_of_squared(self):
+    def test_squared_is_sum_of_squares(self):
         sq = self.pot.gradient_squared()
         np.testing.assert_array_equal(sq, self.pot.gx**2 + self.pot.gy**2 + self.pot.gz**2)
-        np.testing.assert_array_equal(self.pot.gradient_magnitude(), np.sqrt(sq))
 
     def test_gauss_law_radial_consistency(self):
-        gm = self.pot.gradient_magnitude().ravel()
+        gm = np.sqrt(self.pot.gradient_squared()).ravel()
         r = self.r.ravel()
         menc = self.menc.ravel()
         mask = (r >= 2 * self.grid.h) & (r <= self.grid.half_width / 2)
@@ -632,7 +650,7 @@ class TestGaussianClosedForm:
             _, v_exact, g_exact, _ = gaussian_potential_exact(grid, sigma=self.sigma)
             errs[n] = (
                 np.max(np.abs(pot.v - v_exact)) / v_exact.max(),
-                np.max(np.abs(pot.gradient_magnitude() - g_exact)) / g_exact.max(),
+                np.max(np.abs(np.sqrt(pot.gradient_squared()) - g_exact)) / g_exact.max(),
             )
         assert math.log2(errs[32][0] / errs[64][0]) >= 1.8
         assert errs[32][1] / errs[64][1] >= 2.8

@@ -2,6 +2,7 @@ import logging
 import math
 import multiprocessing
 import os
+import re
 import sys
 import threading
 import tracemalloc
@@ -619,9 +620,13 @@ diagnostics_every = 5
         with pytest.raises(ConfigInvalid, match="unknown key"):
             parse_config(self.GOOD + "\nbogus = 1\n")
 
-    def test_rejects_missing_required(self):
-        with pytest.raises(ConfigInvalid, match="matrix"):
+    def test_rejects_missing_required(self, no_matrix_message):
+        with pytest.raises(ConfigInvalid, match=f"^{re.escape(no_matrix_message)}$"):
             parse_config("chi = 1\nn_cells = 32\nhalf_width = 1\ninit = gaussian\nt_end = 1")
+
+    def test_empty_matrix_keys_give_no_matrix(self, no_matrix_message):
+        with pytest.raises(ConfigInvalid, match=f"^{re.escape(no_matrix_message)}$"):
+            parse_config(self.GOOD.replace("1,0,0,0,1,0,0,0,1", "") + "matrix_file =\n")
 
     def test_rejects_bad_cfl(self):
         with pytest.raises(ConfigInvalid, match="cfl"):
