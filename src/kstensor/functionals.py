@@ -33,7 +33,6 @@ from .potential import (
     _displacements,
     _pair_blocks,
     _require_dimension,
-    solve_potential_fast,
     unit_ball_volume,
 )
 
@@ -49,10 +48,8 @@ def _require_finite(**values: float) -> None:
             raise BadParameter(f"{name} must be finite, got {value}")
 
 
-def _solved(u: DensityField, pot: PotentialField | None) -> PotentialField:
-    """``pot`` if it was solved on u's grid; the fast solve of ``u`` if it is None."""
-    if pot is None:
-        return solve_potential_fast(u)
+def _solved(u: DensityField, pot: PotentialField) -> PotentialField:
+    """``pot``, once it is checked to be solved on u's grid."""
     if pot.grid != u.grid:
         raise BadParameter(f"potential solved on {pot.grid}, density on {u.grid}")
     return pot
@@ -117,12 +114,9 @@ def boundary_mass_fraction(u: DensityField) -> float:
     return float(max((total - interior) / total, 0.0))
 
 
-def interaction_integral(u: DensityField, pot: PotentialField | None = None) -> float:
-    """J = double integral of u(x) u(y) |x-y|^(2-n) via J = n(n-2) omega_n * (u, v).
-
-    Uses the fast potential solver unless a PotentialField solved on u's grid
-    is supplied.
-    """
+def interaction_integral(u: DensityField, pot: PotentialField) -> float:
+    """J = double integral of u(x) u(y) |x-y|^(2-n) via J = n(n-2) omega_n * (u, v),
+    with v = ``pot.v`` solved on u's grid."""
     pot = _solved(u, pot)
     n = 3
     scale = n * (n - 2) * unit_ball_volume(n)
@@ -154,13 +148,11 @@ def interaction_symmetrized_direct(u: DensityField, u_orth: np.ndarray) -> float
     return -total * grid.cell_volume**2 / (n * unit_ball_volume(n))
 
 
-def biler_check(
-    u: DensityField, pot: PotentialField | None = None
-) -> tuple[float, float, bool]:
+def biler_check(u: DensityField, pot: PotentialField) -> tuple[float, float, bool]:
     """Mass-moment-interaction inequality M^(n/2+1) <= J (2m)^(n/2-1), n = 3.
 
     Returns (lhs, rhs, ok) with ok allowing the analytic round-off slack.
-    J comes from ``pot`` when a solved PotentialField is supplied.
+    J comes from ``pot``, u's solved potential.
     """
     m_tot = u.mass
     if m_tot <= 0.0:
@@ -177,7 +169,7 @@ def moment_rhs_identity(
     u: DensityField,
     flux: FluxTensor,
     chi: float,
-    pot: PotentialField | None = None,
+    pot: PotentialField,
 ) -> float:
     """Exact evolution rate of the weighted moment:
 
@@ -220,15 +212,13 @@ def moment_rhs_bound(w: float, m_tot: float, flux: FluxTensor, chi: float, n: in
     return 2.0 * flux.trace_pinv * m_tot - aggregation * w ** (1.0 - n / 2.0)
 
 
-def gradv_sup_bound(
-    u: DensityField, gamma: float | None = None, n: int = 3
-) -> tuple[float, float]:
-    """Bound max |grad v| <= gamma ||u||_inf + gamma^(1-n) M / (n omega_n).
+def gradv_sup_bound(u: DensityField, gamma: float | None = None) -> tuple[float, float]:
+    """Bound max |grad v| <= gamma ||u||_inf + gamma^(1-n) M / (n omega_n), n = 3.
 
     gamma=None selects the minimizer gamma* = ((n-1) M / (n omega_n ||u||_inf))^(1/n).
     Returns (bound, gamma_used).
     """
-    _require_dimension(n)
+    n = 3
     linf = u.max_value
     m_tot = u.mass
     if linf <= 0.0 or m_tot <= 0.0:
@@ -284,13 +274,12 @@ def compute_record(
     flux: FluxTensor,
     chi: float,
     t: float,
-    pot: PotentialField | None = None,
+    pot: PotentialField,
 ) -> DiagnosticsRecord:
-    """Populate a full diagnostics record from the current field state.
+    """Populate a full diagnostics record from the current field and its solved potential.
 
     S is formed once: m2 and w are its trace and its contraction with P^(-1).
     """
-    pot = _solved(u, pot)
     m_tot = u.mass
     s = _position_moments(u)
     w = float(np.sum(flux.p_inv * s))

@@ -15,7 +15,7 @@ rotation angle alpha_j satisfies cos(alpha_j) > 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,7 +108,7 @@ def check_hypothesis(a: np.ndarray) -> tuple[bool, float]:
 class FluxTensor:
     """A flux matrix together with its polar factors and spectral diagnostics.
 
-    Immutable after construction; safe to share across threads.
+    Immutable after construction, arrays included; safe to share across threads.
     """
 
     a: np.ndarray
@@ -121,7 +121,7 @@ class FluxTensor:
     lam_min: float
     lam_max: float
     trace_pinv: float
-    hypothesis_ok: bool = field(default=False)
+    hypothesis_ok: bool
 
     @classmethod
     def from_matrix(cls, a: np.ndarray) -> "FluxTensor":
@@ -142,6 +142,8 @@ class FluxTensor:
         lam_max = float(1.0 / sigma[-1])
         trace_pinv = float(np.sum(1.0 / sigma))
         ok = all(e > 0.0 for e in real_eigs) and kappa > BOUNDARY_TOL
+        for arr in (a, p, u):  # a is a private copy; p and u are made here
+            arr.flags.writeable = False
         return cls(
             a=a,
             n=n,

@@ -81,6 +81,10 @@ class InitialData:
     radius: float = 1.0
     path: str | None = None
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("gaussian", "ball", "file"):
+            raise ConfigInvalid(f"unknown initial data kind {self.kind!r}")
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -123,8 +127,6 @@ class SimConfig:
             raise ConfigInvalid(f"blowup_factor must exceed 1, got {self.blowup_factor}")
         if self.diagnostics_every < 1:
             raise ConfigInvalid("diagnostics_every must be >= 1")
-        if ini.kind not in ("gaussian", "ball", "file"):
-            raise ConfigInvalid(f"unknown initial data kind {ini.kind!r}")
         if ini.kind == "file" and ini.path is None:
             raise ConfigInvalid("init = file needs an init_file")
         if self.epsilon is not None and self.epsilon <= 0.0:

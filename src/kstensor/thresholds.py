@@ -54,17 +54,6 @@ def blowup_constant(flux: FluxTensor, chi: float, n: int = 3) -> float:
     return float(bracket ** (2.0 / (n - 2.0)))
 
 
-def moment_ode_rate(w: float, m_tot: float, flux: FluxTensor, chi: float, n: int = 3) -> float:
-    """f(w) = 2 Tr(P^(-1)) M w^(n/2-1) - 2^(1-n/2) chi kappa M^(n/2+1)
-    lambda_min^(n/2-1) / (n omega_n); (2/n) d/dt w^(n/2) <= f(w)."""
-    if not 0.0 <= w < math.inf:  # w = 0 is valid: admissibility passes it when m0 = 0
-        raise NonPositiveMoment(f"weighted moment must be non-negative and finite, got {w}")
-    if not 0.0 < m_tot < math.inf:
-        raise NonPositiveMoment(f"mass must be positive and finite, got {m_tot}")
-    const = aggregation_coefficient(flux, chi, n) * m_tot ** (n / 2.0 + 1.0)
-    return 2.0 * flux.trace_pinv * m_tot * w ** (n / 2.0 - 1.0) - const
-
-
 @dataclass(frozen=True)
 class BlowupVerdict:
     """Outcome of the small-moment admissibility test."""
@@ -90,12 +79,19 @@ def _threshold(
 
 
 def admissibility(m0: float, m_tot: float, flux: FluxTensor, chi: float, n: int = 3) -> BlowupVerdict:
-    """Decide m0 <= C_Bl M^(n/(n-2)) and bound the blow-up time when it holds."""
+    """Decide m0 <= C_Bl M^(n/(n-2)) and bound the blow-up time when it holds.
+
+    f_w0 is the moment ODE rate f(w) = 2 Tr(P^(-1)) M w^(n/2-1) - c M^(n/2+1), with c the
+    aggregation coefficient, at w = lambda_max m0: (2/n) d/dt w^(n/2) <= f(w).
+    """
     c_bl, threshold = _threshold(m0, m_tot, flux, chi, n, strict=False)
     margin = threshold - m0
     admissible = m0 <= threshold * (1.0 + ADMISSIBLE_RTOL)
     w_hi = flux.lam_max * m0
-    f_w0 = moment_ode_rate(w_hi, m_tot, flux, chi, n)
+    if w_hi == math.inf:  # m0 is finite, but lambda_max m0 may overflow
+        raise NonPositiveMoment(f"weighted moment must be non-negative and finite, got {w_hi}")
+    const = aggregation_coefficient(flux, chi, n) * m_tot ** (n / 2.0 + 1.0)
+    f_w0 = 2.0 * flux.trace_pinv * m_tot * w_hi ** (n / 2.0 - 1.0) - const
     t_upper = (2.0 / n) * w_hi ** (n / 2.0) / abs(f_w0) if f_w0 < 0.0 else None
     return BlowupVerdict(c_bl=c_bl, admissible=admissible, margin=margin, t_upper=t_upper, f_w0=f_w0)
 
@@ -135,30 +131,26 @@ def global_delta(
     )
 
 
-def _compatibility_sides(u: DensityField, n: int, c_n: float) -> tuple[float, float]:
-    """||u||_{L^{n/2}} and C_n M (M / m0)^((n-2)/2)."""
-    m_tot = u.mass
+def _compatibility_sides(u: DensityField, c_n: float) -> tuple[float, float]:
+    """||u||_{L^{n/2}} and C_n M (M / m0)^((n-2)/2), n = 3."""
+    n, m_tot = 3, u.mass
     return lq_norm(u, n / 2.0), c_n * m_tot * (m_tot / second_moment(u)) ** ((n - 2.0) / 2.0)
 
 
-def compatibility_check(
-    u0: DensityField, n: int = 3, c_n: float = 1.0
-) -> tuple[float, float, bool]:
-    """Lower bound of the L^(n/2) norm by the mass and moment:
+def compatibility_check(u0: DensityField, c_n: float = 1.0) -> tuple[float, float, bool]:
+    """Lower bound of the L^(n/2) norm by the mass and moment, n = 3:
 
     ||u0||_{L^{n/2}} >= C_n M (M / m0)^((n-2)/2).
 
     Returns (lhs, rhs, ok). Both sides are homogeneous of degree 2-n under
     u -> eps^(-n) u(x/eps), so the verdict does not depend on the scale.
     """
-    if n != 3:
-        raise BadParameter("gridded compatibility check supports n = 3 only")
     _require_finite(c_n=c_n)
     if c_n <= 0.0:
         raise BadParameter(f"c_n must be positive, got {c_n}")
     if u0.mass <= 0.0:
         raise ZeroField("compatibility check requires a nonzero density")
-    lhs, rhs = _compatibility_sides(u0, n, c_n)
+    lhs, rhs = _compatibility_sides(u0, c_n)
     return float(lhs), float(rhs), bool(lhs >= rhs)
 
 
@@ -177,7 +169,7 @@ def calibrate_cn(
     for rho in aspect_ratios:
         grid = Grid3(n_cells, 7.0 * max(1.0, rho))
         u = DensityField(grid, gaussian_values(grid, 1.0, (1.0, 1.0, rho)))
-        lhs, rhs = _compatibility_sides(u, 3, 1.0)
+        lhs, rhs = _compatibility_sides(u, 1.0)
         samples.append((float(rho), float(lhs / rhs)))
     inf_ratio = min(r for _, r in samples)
     return float(inf_ratio), samples

@@ -12,28 +12,27 @@ from kstensor import functionals as fn
 from kstensor import thresholds as th
 from kstensor.errors import BadParameter
 from kstensor.matrixflux import FluxTensor, rotation_z
-from kstensor.potential import DensityField, Grid3, gaussian_values, grad_kernel, kernel_value
+from kstensor.potential import grad_kernel, kernel_value
 
 FLUX = FluxTensor.from_matrix(rotation_z(math.pi / 3))
-FIELD = DensityField(Grid3(16, 4.0), gaussian_values(Grid3(16, 4.0), 1.0, 1.0))
 
 CALLS = {
     "kernel_value": lambda n: kernel_value([1.0, 0.0, 0.0], n),
     "grad_kernel": lambda n: grad_kernel([1.0, 0.0, 0.0], n),
     "aggregation_coefficient": lambda n: fn.aggregation_coefficient(FLUX, 1.0, n),
     "moment_rhs_bound": lambda n: fn.moment_rhs_bound(1.0, 1.0, FLUX, 1.0, n),
-    "moment_ode_rate": lambda n: th.moment_ode_rate(1.0, 1.0, FLUX, 1.0, n),
+    "admissibility": lambda n: th.admissibility(1.0, 1.0, FLUX, 1.0, n),
     "blowup_constant": lambda n: th.blowup_constant(FLUX, 1.0, n),
     "global_delta": lambda n: th.global_delta(4, n, 1.0, 1.0),
-    "gradv_sup_bound": lambda n: fn.gradv_sup_bound(FIELD, n=n),
 }
 
 
 @pytest.mark.parametrize("n", [2, 1, 0])
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_dimension_below_3_is_one_error(name, n):
-    # aggregation_coefficient, moment_rhs_bound and moment_ode_rate used to take
-    # any n (n = 0 divided by zero), and the kernels raised a DomainError of their own
+    # aggregation_coefficient, moment_rhs_bound and the moment ODE rate of admissibility
+    # used to take any n (n = 0 divided by zero), and the kernels raised a DomainError of
+    # their own
     with pytest.raises(BadParameter, match=rf"^dimension must be >= 3, got {n}$"):
         CALLS[name](n)
 

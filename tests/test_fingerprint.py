@@ -1,7 +1,9 @@
-"""The bitwise fingerprint tool (`tools/fingerprint.py`): its kernel part and its diff."""
+"""The bitwise fingerprint tool (`tools/fingerprint.py`): its kernel part, batch encoding and diff."""
 
 import importlib.util
 from pathlib import Path
+
+import numpy as np
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
 _spec = importlib.util.spec_from_file_location("fingerprint", TOOL)
@@ -28,3 +30,10 @@ def test_diff_names_each_differing_entry():
         "new: only in B",
     ]
     assert fingerprint.diff(a, a) == []
+
+
+def test_batch_keeps_floats_measurable_and_hashes_the_rest():
+    assert fingerprint._batch([1.0, np.float64(0.5)]) == ["0x1.0000000000000p+0", "0x1.0000000000000p-1"]
+    # a verdict's numpy bool hashes as the Python bool it stands for
+    hashed = fingerprint._batch([np.bool_(True), None])
+    assert hashed.startswith("sha256:") and hashed == fingerprint._batch([True, None])

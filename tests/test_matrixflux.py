@@ -342,6 +342,20 @@ class TestFluxTensor:
         assert abs(f1.kappa - f2.kappa) < 1e-12
         np.testing.assert_allclose(f1.angles, f2.angles, atol=1e-10)
 
+    @pytest.mark.parametrize("name", ["a", "p", "u_orth"])
+    def test_arrays_are_read_only(self, name):
+        # a write would leave kappa, the spectrum and the verdict stale
+        flux = FluxTensor.from_matrix(rotation_z(math.pi / 4))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(flux, name)[:] = -np.eye(3)
+        assert flux.hypothesis_ok == FluxTensor.from_matrix(flux.a).hypothesis_ok
+
+    def test_callers_matrix_stays_writable(self):
+        m = rotation_z(math.pi / 4)
+        flux = FluxTensor.from_matrix(m)
+        m[:] = -np.eye(3)
+        assert flux.hypothesis_ok and np.array_equal(flux.a, rotation_z(math.pi / 4))
+
 
 class TestMatrixText:
     def test_parse_identity(self):

@@ -119,6 +119,11 @@ class TestMakeInitialData:
         with pytest.raises(ConfigInvalid):
             make_initial_data(InitialData(kind="file", path=path), Grid3(32, 4.0))
 
+    def test_unknown_kind_rejected_when_built(self):
+        # it used to pass as a ball until a SimConfig was validated
+        with pytest.raises(ConfigInvalid, match=r"^unknown initial data kind 'bogus'$"):
+            InitialData("bogus", radius=1.0)
+
     def test_file_rejects_epsilon(self, tmp_path):
         grid = Grid3(32, 8.0)
         src = make_initial_data(InitialData(kind="gaussian", mass=1.0, sigma=(1.0,) * 3), grid)

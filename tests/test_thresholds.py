@@ -126,22 +126,26 @@ class TestAdmissibility:
         with pytest.raises(NonPositiveMoment):
             th.admissibility(-1.0, 1.0, IDENTITY, 1.0, 3)
 
+    @pytest.mark.parametrize("mass", [-1.0, 0.0])
+    def test_rejects_nonpositive_mass(self, mass):
+        with pytest.raises(NonPositiveMoment, match=rf"^mass must be positive, got {mass}$"):
+            th.admissibility(1e-5, mass, IDENTITY, 1.0, 3)
+
 
 class TestMomentOdeRate:
-    @pytest.mark.parametrize(
-        "w, m_tot, text",
-        [(w, 1.0, "weighted moment must be non-negative and finite")
-         for w in (-1.0, math.nan, math.inf)]
-        + [(1.0, m, "mass must be positive and finite") for m in (-1.0, 0.0, math.nan, math.inf)],
-    )
-    def test_rejects_bad_moment_or_mass(self, w, m_tot, text):
-        with pytest.raises(NonPositiveMoment, match=text):
-            th.moment_ode_rate(w, m_tot, IDENTITY, 1.0, 3)
+    """admissibility's f_w0: the moment ODE rate at w = lambda_max m0."""
 
     def test_zero_moment_is_the_aggregation_term(self):
         # admissibility evaluates f at w = 0 when m0 = 0
         want = -fn.aggregation_coefficient(IDENTITY, 1.0, 3) * 2.0**2.5
-        assert th.moment_ode_rate(0.0, 2.0, IDENTITY, 1.0, 3) == want
+        assert th.admissibility(0.0, 2.0, IDENTITY, 1.0, 3).f_w0 == want
+
+    def test_overflowing_weighted_moment_rejected(self):
+        # m0 is finite, but w = lambda_max m0 = 2e308 is not
+        flux = FluxTensor.from_matrix(0.5 * np.eye(3))
+        text = r"^weighted moment must be non-negative and finite, got inf$"
+        with pytest.raises(NonPositiveMoment, match=text):
+            th.admissibility(1e308, 1.0, flux, 1.0, 3)
 
 
 class TestRescaleEpsilon:
@@ -241,8 +245,8 @@ class TestCompatibility:
         # the ratio must match between two widths of the same Gaussian family
         u1 = gaussian_field(Grid3(64, 8.0), sigma=1.0)
         u2 = gaussian_field(Grid3(64, 4.0), sigma=0.5)
-        l1, r1, _ = th.compatibility_check(u1, 3, c_n=0.4)
-        l2, r2, _ = th.compatibility_check(u2, 3, c_n=0.4)
+        l1, r1, _ = th.compatibility_check(u1, c_n=0.4)
+        l2, r2, _ = th.compatibility_check(u2, c_n=0.4)
         assert l1 / r1 == pytest.approx(l2 / r2, rel=1e-6)
 
     @pytest.mark.parametrize("u", [pytest.param(u, id=name) for name, u in density_suite(16, 4.0)])
@@ -250,8 +254,8 @@ class TestCompatibility:
         # eps^-3 u(x / eps) with eps = 1/2: the same cells on a box half as wide,
         # values x 8; cell centres halve exactly, so both sides double
         twin = DensityField(Grid3(u.grid.n_cells, 0.5 * u.grid.half_width), 8.0 * u.values)
-        lhs, rhs, ok = th.compatibility_check(u, 3, c_n=0.4)
-        lhs2, rhs2, ok2 = th.compatibility_check(twin, 3, c_n=0.4)
+        lhs, rhs, ok = th.compatibility_check(u, c_n=0.4)
+        lhs2, rhs2, ok2 = th.compatibility_check(twin, c_n=0.4)
         assert lhs2 / rhs2 == pytest.approx(lhs / rhs, rel=1e-6)
         assert lhs2 == pytest.approx(2.0 * lhs, rel=1e-12)
         assert rhs2 == pytest.approx(2.0 * rhs, rel=1e-12)
@@ -268,7 +272,7 @@ class TestCompatibility:
 
         for name in calls:
             monkeypatch.setattr(th, name, counted(name))
-        th.compatibility_check(gaussian_field(Grid3(16, 6.0)), 3, c_n=0.4)
+        th.compatibility_check(gaussian_field(Grid3(16, 6.0)), c_n=0.4)
         assert calls == {"lq_norm": 1, "second_moment": 1}
 
     def test_divergence_rate_matches(self):
@@ -276,7 +280,7 @@ class TestCompatibility:
         lhs, rhs = [], []
         for sigma in (1.0, 0.25):
             u = gaussian_field(Grid3(64, 8.0 * sigma), sigma=sigma)
-            l, r, _ = th.compatibility_check(u, 3, c_n=0.4)
+            l, r, _ = th.compatibility_check(u, c_n=0.4)
             lhs.append(l)
             rhs.append(r)
         assert lhs[1] / lhs[0] == pytest.approx(4.0, rel=1e-3)
@@ -286,18 +290,13 @@ class TestCompatibility:
         c_n, _ = th.calibrate_cn()
         for sigma in (0.5, 1.0, 1.5):
             u = gaussian_field(Grid3(64, 8.0 * sigma), sigma=sigma)
-            _, _, ok = th.compatibility_check(u, 3, c_n=c_n * (1 - 1e-9))
+            _, _, ok = th.compatibility_check(u, c_n=c_n * (1 - 1e-9))
             assert ok
 
     def test_rejects_zero_field(self):
         u = DensityField(Grid3(16, 2.0), np.zeros((16, 16, 16)))
         with pytest.raises(ZeroField):
-            th.compatibility_check(u, 3, 1.0)
-
-    def test_rejects_other_dimensions(self):
-        u = gaussian_field(Grid3(16, 6.0), sigma=1.0)
-        with pytest.raises(BadParameter):
-            th.compatibility_check(u, 4, 1.0)
+            th.compatibility_check(u, 1.0)
 
 
 class TestCalibrateCn:

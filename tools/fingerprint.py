@@ -7,18 +7,24 @@ A fingerprint holds, each under its own entry name:
 
 * preset/<name>/...: every `SimOutcome` field of the three presets but `phase_s`
   (a wall time), and every record column; floats by `float.hex`;
-* cli/...: the SHA-256 of the stdout of `kstensor verify all` and `kstensor verify --help`;
+* cli/...: the SHA-256 of the stdout of `kstensor verify all`, `kstensor verify --help`, and
+  of `check-matrix`, `thresholds` (`--moment 0` too) and `calibrate-cn` on fixed matrices;
 * collapse64/<seed>/...: the same for the bench's collapse64 configs, seeds 0-7;
 * heat64/<seed>/<file>: the SHA-256 of each artifact of the bench's heat64 runs, seeds 0-1
   (`diagnostics.csv`, each snapshot and its `.meta`, and `outcome.txt` without its `phase_`
   lines);
 * kernels/<n>/<blocks>/...: the potential-only solve and the step kernels `_drift`,
   `_advect` and `_diffuse` on a fixed 16^3, 32^3 and 64^3 state, cut into 1, 2 and 3 blocks
-  with the block floor at one cell.
+  with the block floor at one cell;
+* analysis/...: every `FluxTensor` field over the bench's `flux_batch(0)` matrices, every
+  `BlowupVerdict` field of `admissibility` on each passing matrix at m0 = 0 and at the
+  batch's m0, and the (aspect, ratio) samples of `calibrate_cn`. A field of floats is a
+  list of hex strings; any other field (arrays, lists, ints, bools, a `t_upper` that may
+  be None) is the SHA-256 of its encoding over the batch.
 
-The tree's own `perfbench/workloads.py` gives the collapse64 and heat64 configs. The file
-holds no wall time, so two runs on one tree give the same file; the run's wall time goes to
-stderr. `--diff` names each entry that differs, with the largest relative difference of a
+The tree's own `perfbench/workloads.py` gives the collapse64 and heat64 configs and the
+flux batch. The file holds no wall time, so two runs on one tree give the same file; the
+run's wall time goes to stderr. `--diff` names each entry that differs, with the largest relative difference of a
 float entry, and exits 1 if any does.
 """
 
@@ -44,6 +50,20 @@ KERNEL_BLOCKS = (1, 2, 3)
 # a non-normal flux matrix that fails the hypothesis: its drift fills every face speed
 KERNEL_MATRIX = ((1.0, 0.5, 0.2), (-0.7, 1.0, 0.1), (0.05, -0.3, -0.9))
 KERNEL_CHI = 5.0
+ROTATION = "0.7071067811865476,-0.7071067811865476,0,0.7071067811865476,0.7071067811865476,0,0,0,1"
+BLOCKS_4 = "1,-1,0,0,1,1,0,0,0,0,0.5,-0.2,0,0,0.2,0.5"  # two rotation blocks, both passing
+CLI_CASES = (
+    ["verify", "all"],
+    ["verify", "--help"],
+    ["check-matrix", "--inline", ROTATION],
+    ["check-matrix", "--inline=" + ",".join(map(str, np.ravel(KERNEL_MATRIX)))],
+    ["check-matrix", "--inline", BLOCKS_4],
+    ["thresholds", "--inline", ROTATION, "--chi", "50", "--mass", "1", "--moment", "0.01"],
+    ["thresholds", "--inline", ROTATION, "--chi", "50", "--mass", "1", "--moment", "0"],
+    ["thresholds", "--inline", ROTATION, "--chi", "1", "--mass", "2", "--moment", "1"],
+    ["thresholds", "--inline", BLOCKS_4, "--chi", "2", "--mass", "1.5", "--moment", "1e-3"],
+    ["calibrate-cn"],
+)
 
 
 def _sha(data: bytes) -> str:
@@ -52,10 +72,14 @@ def _sha(data: bytes) -> str:
 
 def _encode(value):
     """A JSON value with each float as its hex string, so that equal entries are equal bits."""
-    if isinstance(value, (float, np.floating)):
-        return float(value).hex()
+    if isinstance(value, np.generic):  # a numpy scalar as the Python value it holds
+        value = value.item()
+    if isinstance(value, float):
+        return value.hex()
     if isinstance(value, (list, tuple)):
         return [_encode(val) for val in value]
+    if isinstance(value, np.ndarray):
+        return _encode(value.tolist())
     return value
 
 
@@ -97,7 +121,7 @@ def cli_entries() -> dict:
 
     entries = {}
     os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal width
-    for argv in (["verify", "all"], ["verify", "--help"]):
+    for argv in CLI_CASES:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.suppress(SystemExit):
             main(argv)
@@ -163,6 +187,38 @@ def kernel_entries(n: int, blocks: int) -> dict:
         potential._pool.cache_clear()
 
 
+def _batch(values: list):
+    """A field over a batch: hex strings if every value is a float, else one SHA-256."""
+    if all(isinstance(val, float) for val in values):
+        return _encode(values)
+    return _sha(json.dumps(_encode(values)).encode())
+
+
+def analysis_entries(workloads) -> dict:
+    from kstensor import thresholds
+    from kstensor.matrixflux import FluxTensor
+
+    cases = workloads.flux_batch(0)
+    fluxes = [FluxTensor.from_matrix(case.matrix) for case in cases]
+    entries = {
+        f"analysis/flux/{f.name}": _batch([getattr(flux, f.name) for flux in fluxes])
+        for f in dataclasses.fields(FluxTensor)
+    }
+    passing = [(case, flux) for case, flux in zip(cases, fluxes) if flux.hypothesis_ok]
+    for label in ("m0=0", "m0"):
+        verdicts = [
+            thresholds.admissibility(case.m0 if label == "m0" else 0.0, case.mass, flux, case.chi, flux.n)
+            for case, flux in passing
+        ]
+        for f in dataclasses.fields(thresholds.BlowupVerdict):
+            entries[f"analysis/verdict/{label}/{f.name}"] = _batch([getattr(v, f.name) for v in verdicts])
+    inf_ratio, samples = thresholds.calibrate_cn()
+    entries["analysis/calibrate_cn/infimum"] = _encode(inf_ratio)
+    entries["analysis/calibrate_cn/aspect"] = _encode([rho for rho, _ in samples])
+    entries["analysis/calibrate_cn/ratio"] = _encode([ratio for _, ratio in samples])
+    return entries
+
+
 def fingerprint(tree: str) -> dict:
     workloads = _load_workloads(tree)
     entries = {}
@@ -170,6 +226,7 @@ def fingerprint(tree: str) -> dict:
     entries.update(cli_entries())
     entries.update(collapse64_entries(workloads))
     entries.update(heat64_entries(workloads))
+    entries.update(analysis_entries(workloads))
     for n in KERNEL_SIZES:
         for blocks in KERNEL_BLOCKS:
             kernels = kernel_entries(n, blocks)
