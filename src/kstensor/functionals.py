@@ -182,12 +182,13 @@ def moment_rhs_identity(
     return 2.0 * flux.trace_pinv * u.mass + 2.0 * chi * advective
 
 
-def aggregation_coefficient(flux: FluxTensor, chi: float, n: int = 3) -> float:
-    """c = 2^(1-n/2) chi kappa lambda_min^(n/2-1) / (n omega_n).
+def aggregation_coefficient(flux: FluxTensor, chi: float) -> float:
+    """c = 2^(1-n/2) chi kappa lambda_min^(n/2-1) / (n omega_n), n = flux.n.
 
     The aggregation term of the moment inequality is c M^(n/2+1) w^(1-n/2);
     the bound, the moment ODE rate and C_Bl all read it from here.
     """
+    n = flux.n
     _require_dimension(n)
     return (
         2.0 ** (1.0 - n / 2.0)
@@ -198,8 +199,8 @@ def aggregation_coefficient(flux: FluxTensor, chi: float, n: int = 3) -> float:
     )
 
 
-def moment_rhs_bound(w: float, m_tot: float, flux: FluxTensor, chi: float, n: int = 3) -> float:
-    """Upper bound for dw/dt:
+def moment_rhs_bound(w: float, m_tot: float, flux: FluxTensor, chi: float) -> float:
+    """Upper bound for dw/dt, n = flux.n:
 
     2 Tr(P^(-1)) M - 2^(1-n/2) chi kappa M^(n/2+1) / (n omega_n)
                       * lambda_min^(n/2-1) * w^(1-n/2).
@@ -208,8 +209,8 @@ def moment_rhs_bound(w: float, m_tot: float, flux: FluxTensor, chi: float, n: in
         raise NonPositiveMoment(f"weighted moment must be positive and finite, got {w}")
     if not 0.0 < m_tot < math.inf:
         raise NonPositiveMoment(f"mass must be positive and finite, got {m_tot}")
-    aggregation = aggregation_coefficient(flux, chi, n) * m_tot ** (n / 2.0 + 1.0)
-    return 2.0 * flux.trace_pinv * m_tot - aggregation * w ** (1.0 - n / 2.0)
+    aggregation = aggregation_coefficient(flux, chi) * m_tot ** (flux.n / 2.0 + 1.0)
+    return 2.0 * flux.trace_pinv * m_tot - aggregation * w ** (1.0 - flux.n / 2.0)
 
 
 def gradv_sup_bound(u: DensityField, gamma: float | None = None) -> tuple[float, float]:

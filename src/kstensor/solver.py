@@ -84,11 +84,21 @@ class InitialData:
     def __post_init__(self) -> None:
         if self.kind not in ("gaussian", "ball", "file"):
             raise ConfigInvalid(f"unknown initial data kind {self.kind!r}")
+        if self.kind == "file" and self.path is None:
+            raise ConfigInvalid("init = file needs an init_file")
+        for name in ("mass", "sigma", "center", "radius"):  # whatever the kind
+            value = getattr(self, name)
+            if not np.all(np.isfinite(value)):
+                raise ConfigInvalid(f"{name} must be finite, got {value}")
+            if name in ("sigma", "center") and np.shape(value) != (3,):
+                raise ConfigInvalid(f"{name} must have 3 components, got {value}")
+            if name != "center" and not np.all(np.greater(value, 0.0)):
+                raise ConfigInvalid(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Full experiment description."""
+    """Full experiment description; an invalid one cannot be built (ConfigInvalid)."""
 
     matrix: np.ndarray
     chi: float
@@ -105,16 +115,11 @@ class SimConfig:
     output_dir: str | None = None
     snapshot_times: tuple[float, ...] = ()
 
-    def validate(self) -> None:
-        ini = self.initial
-        numbers = {name: getattr(self, name) for name in _FLOAT_FIELDS}
-        numbers.update(matrix=self.matrix, snapshot_times=self.snapshot_times)
-        numbers.update(mass=ini.mass, sigma=ini.sigma, center=ini.center, radius=ini.radius)
-        for name, value in numbers.items():
+    def __post_init__(self) -> None:
+        for name in (*_FLOAT_FIELDS, "matrix", "snapshot_times"):
+            value = getattr(self, name)
             if value is not None and not np.all(np.isfinite(value)):
                 raise ConfigInvalid(f"{name} must be finite, got {value}")
-            if name in ("sigma", "center") and np.shape(value) != (3,):
-                raise ConfigInvalid(f"{name} must have 3 components, got {value}")
         if self.chi < 0.0:
             raise ConfigInvalid(f"chi must be >= 0, got {self.chi}")
         if not (self.t_end > 0.0):
@@ -127,8 +132,6 @@ class SimConfig:
             raise ConfigInvalid(f"blowup_factor must exceed 1, got {self.blowup_factor}")
         if self.diagnostics_every < 1:
             raise ConfigInvalid("diagnostics_every must be >= 1")
-        if ini.kind == "file" and ini.path is None:
-            raise ConfigInvalid("init = file needs an init_file")
         if self.epsilon is not None and self.epsilon <= 0.0:
             raise ConfigInvalid(f"epsilon must be positive, got {self.epsilon}")
         shape = np.shape(self.matrix)
@@ -172,12 +175,15 @@ class SimOutcome:
 def make_initial_data(
     initial: InitialData, grid: Grid3, epsilon: float | None = None
 ) -> DensityField:
-    """Sample the initial density at cell centers.
+    """Sample the initial density at cell centers; the descriptor checked its values when built.
 
-    A rescale factor applies eps^(-3) u0(x/eps) by analytic re-evaluation of
-    the descriptor (widths, radius and center scale by eps); snapshot files
-    cannot be rescaled this way.
+    A rescale factor 0 < eps < inf applies eps^(-3) u0(x/eps) by analytic re-evaluation of
+    the descriptor (widths, radius and center scale by eps); snapshot files cannot be
+    rescaled this way. Raises ConfigInvalid for a snapshot on another grid, and
+    SupportTooLarge for data that leaks into the boundary shell.
     """
+    if epsilon is not None and not 0.0 < epsilon < math.inf:
+        raise ConfigInvalid(f"epsilon must be positive and finite, got {epsilon}")
     if initial.kind == "file":
         if epsilon is not None:
             raise ConfigInvalid("epsilon rescaling is not supported for file initial data")
@@ -188,20 +194,13 @@ def make_initial_data(
                 f"configured grid ({grid.n_cells}, {grid.half_width})"
             )
     else:
-        if initial.mass <= 0.0:
-            raise ConfigInvalid(f"initial mass must be positive, got {initial.mass}")
         eps = 1.0 if epsilon is None else epsilon
         center = np.asarray(initial.center, dtype=float) * eps
         if initial.kind == "gaussian":
             sig = np.asarray(initial.sigma, dtype=float) * eps
-            if np.any(sig <= 0.0):
-                raise ConfigInvalid(f"gaussian widths must be positive, got {tuple(sig)}")
             vals = gaussian_values(grid, initial.mass, sig, center)
         else:  # ball
-            rad = initial.radius * eps
-            if rad <= 0.0:
-                raise ConfigInvalid(f"ball radius must be positive, got {rad}")
-            vals = ball_values(grid, initial.mass, rad, center)
+            vals = ball_values(grid, initial.mass, initial.radius * eps, center)
     u = DensityField(grid, vals)
     frac = boundary_mass_fraction(u)
     if frac >= 1e-6:
@@ -330,7 +329,6 @@ def step(u: DensityField, flux: FluxTensor, chi: float, dt: float) -> DensityFie
 
 def run(config: SimConfig) -> SimOutcome:
     """Integrate the configured experiment; write artifacts if output_dir is set."""
-    config.validate()
     flux = FluxTensor.from_matrix(config.matrix)
     grid = config.grid
     h = grid.h
@@ -513,11 +511,9 @@ def parse_config(text: str, base_dir: str = ".") -> SimConfig:
         if "init_file" in kv:
             ini["path"] = os.path.join(base_dir, kv["init_file"])
         fields = {key: conv(kv[key]) for key, conv in _SIM_KEYS.items() if key in kv}
-        config = SimConfig(matrix=matrix, initial=InitialData(kind=kv["init"], **ini), **fields)
+        return SimConfig(matrix=matrix, initial=InitialData(kind=kv["init"], **ini), **fields)
     except (ValueError, KeyError, OSError) as exc:  # OSError: an unreadable matrix_file
         raise ConfigInvalid(str(exc)) from exc
-    config.validate()
-    return config
 
 
 def load_config(path: str) -> SimConfig:

@@ -48,7 +48,7 @@ def blowup_constant(flux: FluxTensor, chi: float, n: int = 3) -> float:
         raise HypothesisViolated(
             f"flux matrix fails the structural hypothesis (kappa = {flux.kappa:.6g})"
         )
-    bracket = aggregation_coefficient(flux, chi, n) / (
+    bracket = aggregation_coefficient(flux, chi) / (
         2.0 * flux.trace_pinv * flux.lam_max ** (n / 2.0 - 1.0)
     )
     return float(bracket ** (2.0 / (n - 2.0)))
@@ -84,13 +84,14 @@ def admissibility(m0: float, m_tot: float, flux: FluxTensor, chi: float, n: int 
     f_w0 is the moment ODE rate f(w) = 2 Tr(P^(-1)) M w^(n/2-1) - c M^(n/2+1), with c the
     aggregation coefficient, at w = lambda_max m0: (2/n) d/dt w^(n/2) <= f(w).
     """
+    m0, m_tot = float(m0), float(m_tot)  # a numpy m0 would make every field a numpy scalar
     c_bl, threshold = _threshold(m0, m_tot, flux, chi, n, strict=False)
     margin = threshold - m0
     admissible = m0 <= threshold * (1.0 + ADMISSIBLE_RTOL)
     w_hi = flux.lam_max * m0
     if w_hi == math.inf:  # m0 is finite, but lambda_max m0 may overflow
         raise NonPositiveMoment(f"weighted moment must be non-negative and finite, got {w_hi}")
-    const = aggregation_coefficient(flux, chi, n) * m_tot ** (n / 2.0 + 1.0)
+    const = aggregation_coefficient(flux, chi) * m_tot ** (n / 2.0 + 1.0)
     f_w0 = 2.0 * flux.trace_pinv * m_tot * w_hi ** (n / 2.0 - 1.0) - const
     t_upper = (2.0 / n) * w_hi ** (n / 2.0) / abs(f_w0) if f_w0 < 0.0 else None
     return BlowupVerdict(c_bl=c_bl, admissible=admissible, margin=margin, t_upper=t_upper, f_w0=f_w0)

@@ -1,4 +1,5 @@
-"""The bitwise fingerprint tool (`tools/fingerprint.py`): its kernel part, batch encoding and diff."""
+"""The bitwise fingerprint tool (`tools/fingerprint.py`): its kernel and config parts, batch
+encoding and diff."""
 
 import importlib.util
 from pathlib import Path
@@ -37,3 +38,13 @@ def test_batch_keeps_floats_measurable_and_hashes_the_rest():
     # a verdict's numpy bool hashes as the Python bool it stands for
     hashed = fingerprint._batch([np.bool_(True), None])
     assert hashed.startswith("sha256:") and hashed == fingerprint._batch([True, None])
+
+
+def test_config_part_records_each_rejection():
+    entries = fingerprint.config_entries()
+    assert sorted(entries) == sorted(f"config/{case}" for case in fingerprint.CONFIG_CASES)
+    assert entries.pop("config/good") == "ok"
+    assert all(": ConfigInvalid: " in outcome for outcome in entries.values()), entries
+    # the descriptor is built, and checks itself, before the rest of the config
+    assert entries["config/mass=-1,cfl=2"] == "parse_config: ConfigInvalid: mass must be positive, got -1.0"
+    assert entries["config/file/epsilon=0.5"].startswith("make_initial_data: ")

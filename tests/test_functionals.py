@@ -302,6 +302,12 @@ class TestMomentRhs:
         assert got == pytest.approx(want, rel=1e-12)
         assert got == pytest.approx(5.96751263328193, rel=1e-11)
 
+    def test_bound_takes_the_dimension_of_the_flux(self):
+        # n = 4, identity: 2 Tr(P^-1) M = 8 and c = 2^-1 / (4 omega_4), omega_4 = pi^2 / 2;
+        # the bound used to take n = 3 on any flux (7.943730230240181 here)
+        got = fn.moment_rhs_bound(1.0, 1.0, FluxTensor.from_matrix(np.eye(4)), 1.0)
+        assert got == pytest.approx(8.0 - 0.5 / (4 * math.pi**2 / 2), rel=1e-14)
+
     def test_bound_limits(self):
         flux = FluxTensor.from_matrix(np.eye(3))
         assert fn.moment_rhs_bound(1e12, 1.0, flux, 1.0) == pytest.approx(6.0, abs=1e-5)

@@ -7,7 +7,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +123,30 @@ class TestMakeInitialData:
         # it used to pass as a ball until a SimConfig was validated
         with pytest.raises(ConfigInvalid, match=r"^unknown initial data kind 'bogus'$"):
             InitialData("bogus", radius=1.0)
+
+    @pytest.mark.parametrize(
+        "kind, values, message",
+        [("file", {}, "init = file needs an init_file"),
+         ("gaussian", {"mass": 0.0}, "mass must be positive, got 0.0"),
+         ("ball", {"mass": -1.0}, "mass must be positive, got -1.0"),
+         ("gaussian", {"sigma": (1.0, 0.0, 1.0)}, "sigma must be positive, got (1.0, 0.0, 1.0)"),
+         ("gaussian", {"sigma": (1.0, 1.0, -2.0)}, "sigma must be positive, got (1.0, 1.0, -2.0)"),
+         ("ball", {"radius": 0.0}, "radius must be positive, got 0.0"),
+         ("ball", {"radius": -1.0}, "radius must be positive, got -1.0")],
+        ids=["file-no-path", "mass-0", "mass-neg", "sigma-0", "sigma-neg", "radius-0", "radius-neg"],
+    )
+    def test_invalid_descriptor_rejected_when_built(self, kind, values, message):
+        # make_initial_data used to fail on a file with no path with a TypeError, and on the
+        # others only when it sampled them (test_rejects_nonfinite_entries and
+        # test_rejects_vector_not_of_three cover a NaN or inf value and a short sigma)
+        with pytest.raises(ConfigInvalid, match=f"^{re.escape(message)}$"):
+            InitialData(kind, **values)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.inf])
+    def test_rejects_epsilon_not_positive_and_finite(self, epsilon):
+        desc = InitialData(kind="gaussian", sigma=(0.5,) * 3)
+        with pytest.raises(ConfigInvalid, match=f"^epsilon must be positive and finite, got {epsilon}$"):
+            make_initial_data(desc, Grid3(32, 8.0), epsilon=epsilon)
 
     def test_file_rejects_epsilon(self, tmp_path):
         grid = Grid3(32, 8.0)
@@ -649,11 +673,8 @@ diagnostics_every = 5
         # negative dt_max ran time backwards into a false NumericalBlowup
         with pytest.raises(ConfigInvalid, match="0 < dt_min < dt_max"):
             parse_config(self.GOOD.replace("dt_max = 0.01", f"dt_max = {dt_max}\ndt_min = {dt_min}"))
-        cfg = small_config(dt_min=dt_min, dt_max=dt_max)
         with pytest.raises(ConfigInvalid, match="0 < dt_min < dt_max"):
-            cfg.validate()
-        with pytest.raises(ConfigInvalid, match="0 < dt_min < dt_max"):
-            run(cfg)
+            small_config(dt_min=dt_min, dt_max=dt_max)
 
     def test_rejects_bad_blowup_factor(self):
         with pytest.raises(ConfigInvalid, match="blowup_factor"):
@@ -666,7 +687,7 @@ diagnostics_every = 5
     )
     def test_rejects_nonfinite(self, name, value):
         with pytest.raises(ConfigInvalid, match=name):
-            small_config(**{name: value}).validate()
+            small_config(**{name: value})
 
     @pytest.mark.parametrize(
         "name, value",
@@ -675,12 +696,11 @@ diagnostics_every = 5
          ("matrix", np.diag([1.0, math.nan, 1.0]))],
     )
     def test_rejects_nonfinite_entries(self, name, value):
-        if name in ("mass", "radius", "sigma", "center"):
-            cfg = small_config(initial=InitialData(kind="gaussian", **{name: value}))
-        else:
-            cfg = small_config(**{name: value})
         with pytest.raises(ConfigInvalid, match=name):
-            cfg.validate()
+            if name in ("mass", "radius", "sigma", "center"):
+                InitialData(kind="gaussian", **{name: value})
+            else:
+                small_config(**{name: value})
 
     @pytest.mark.parametrize(
         "name, value",
@@ -689,13 +709,10 @@ diagnostics_every = 5
         ids=["sigma-2", "sigma-4", "sigma-scalar", "center-2", "center-4", "center-0"],
     )
     def test_rejects_vector_not_of_three(self, name, value):
-        # before a run: a short center used to fail mid-run with IndexError, a short
+        # when built: a short center used to fail mid-run with IndexError, a short
         # sigma with numpy's broadcast error, and a long center lost its last entry
-        cfg = small_config(initial=InitialData(kind="gaussian", **{name: value}))
         with pytest.raises(ConfigInvalid, match=f"{name} must have 3 components"):
-            cfg.validate()
-        with pytest.raises(ConfigInvalid, match=name):
-            run(cfg)
+            InitialData(kind="gaussian", **{name: value})
 
     @pytest.mark.parametrize(
         "text", ["sigma = 1,1", "sigma = 1,1,1,1", "center = 0,0", "center = 0,0,0,1"]
@@ -714,11 +731,23 @@ diagnostics_every = 5
     @pytest.mark.parametrize("matrix", [np.eye(2), np.eye(4)])
     def test_rejects_matrix_not_3x3(self, matrix):
         with pytest.raises(ConfigInvalid, match="3x3"):
-            small_config(matrix=matrix).validate()
+            small_config(matrix=matrix)
 
     def test_rejects_file_init_without_path(self):
         with pytest.raises(ConfigInvalid, match="init_file"):
             parse_config(self.GOOD.replace("init = gaussian", "init = file"))
+
+    def test_rejects_nonpositive_mass_when_parsed(self):
+        # it used to parse, and failed only when run sampled the initial data
+        with pytest.raises(ConfigInvalid, match=r"^mass must be positive, got -1.0$"):
+            parse_config(self.GOOD.replace("mass = 1.0", "mass = -1"))
+
+    def test_replace_checks_the_new_value(self):
+        cfg = parse_config(self.GOOD)
+        with pytest.raises(ConfigInvalid, match="cfl"):
+            replace(cfg, cfl=2.0)
+        with pytest.raises(ConfigInvalid, match="radius"):
+            replace(cfg.initial, radius=-1.0)
 
     @pytest.mark.parametrize(
         "n_cells, half_width, name",
@@ -727,7 +756,7 @@ diagnostics_every = 5
     )
     def test_rejects_grid_below_solver_minimum(self, n_cells, half_width, name):
         with pytest.raises(ConfigInvalid, match=name):
-            small_config(n_cells=n_cells, half_width=half_width).validate()
+            small_config(n_cells=n_cells, half_width=half_width)
 
     def test_matrix_file_reference(self, tmp_path):
         mfile = tmp_path / "mat.txt"
@@ -740,7 +769,7 @@ diagnostics_every = 5
     def test_presets_parse(self):
         for name in ("blowup", "global", "diffusion"):
             cfg = load_config(str(PRESETS / f"{name}.cfg"))
-            cfg.validate()
+            replace(cfg)  # built again, the value checks itself again
 
 
 def perturbed_field(n):

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -137,8 +139,15 @@ class TestMomentOdeRate:
 
     def test_zero_moment_is_the_aggregation_term(self):
         # admissibility evaluates f at w = 0 when m0 = 0
-        want = -fn.aggregation_coefficient(IDENTITY, 1.0, 3) * 2.0**2.5
+        want = -fn.aggregation_coefficient(IDENTITY, 1.0) * 2.0**2.5
         assert th.admissibility(0.0, 2.0, IDENTITY, 1.0, 3).f_w0 == want
+
+    def test_numpy_moment_gives_a_json_verdict(self):
+        # a numpy-float m0 used to give numpy scalars that json.dumps rejects
+        verdict = th.admissibility(np.float64(1e-5), 1.0, IDENTITY, 1.0, 3)
+        json.dumps(dataclasses.asdict(verdict))
+        for name, value in dataclasses.asdict(verdict).items():
+            assert value is None or type(value) in (float, bool), name
 
     def test_overflowing_weighted_moment_rejected(self):
         # m0 is finite, but w = lambda_max m0 = 2e308 is not

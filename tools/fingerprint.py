@@ -20,7 +20,9 @@ A fingerprint holds, each under its own entry name:
   `BlowupVerdict` field of `admissibility` on each passing matrix at m0 = 0 and at the
   batch's m0, and the (aspect, ratio) samples of `calibrate_cn`. A field of floats is a
   list of hex strings; any other field (arrays, lists, ints, bools, a `t_upper` that may
-  be None) is the SHA-256 of its encoding over the batch.
+  be None) is the SHA-256 of its encoding over the batch;
+* config/<case>: `ok`, or `<stage>: ExceptionName: message`, of `parse_config` of a fixed config
+  text followed by `make_initial_data` of what it parsed: where each bad input is rejected, and how.
 
 The tree's own `perfbench/workloads.py` gives the collapse64 and heat64 configs and the
 flux batch. The file holds no wall time, so two runs on one tree give the same file; the
@@ -52,6 +54,29 @@ KERNEL_MATRIX = ((1.0, 0.5, 0.2), (-0.7, 1.0, 0.1), (0.05, -0.3, -0.9))
 KERNEL_CHI = 5.0
 ROTATION = "0.7071067811865476,-0.7071067811865476,0,0.7071067811865476,0.7071067811865476,0,0,0,1"
 BLOCKS_4 = "1,-1,0,0,1,1,0,0,0,0,0.5,-0.2,0,0,0.2,0.5"  # two rotation blocks, both passing
+CONFIG_BASE = (
+    "matrix = 1,0,0,0,1,0,0,0,1\nchi = 1\nn_cells = 32\nhalf_width = 10\nt_end = 0.5\n"
+    "dt_max = 0.01\ninit = gaussian\n"
+)
+CONFIG_CASES = {  # the lines each case adds to CONFIG_BASE; a later key overrides an earlier one
+    "good": "",
+    "mass=-1": "mass = -1",
+    "mass=0": "mass = 0",
+    "mass=nan": "mass = nan",
+    "sigma=1,0,1": "sigma = 1,0,1",
+    "sigma=-1": "sigma = -1",
+    "sigma=1,1": "sigma = 1,1",
+    "ball/radius=0": "init = ball\nradius = 0",
+    "ball/radius=-2": "init = ball\nradius = -2",
+    "ball/radius=inf": "init = ball\nradius = inf",
+    "gaussian/radius=-1": "radius = -1",
+    "file/no-init_file": "init = file",
+    "file/epsilon=0.5": "init = file\ninit_file = missing.bin\nepsilon = 0.5",
+    "epsilon=0": "epsilon = 0",
+    "dt_min>dt_max": "dt_min = 0.02",
+    "mass=-1,cfl=2": "mass = -1\ncfl = 2",
+    "sigma=nan,chi=nan": "sigma = nan\nchi = nan",
+}
 CLI_CASES = (
     ["verify", "all"],
     ["verify", "--help"],
@@ -219,6 +244,23 @@ def analysis_entries(workloads) -> dict:
     return entries
 
 
+def config_entries() -> dict:
+    """Per case, `ok` or `<stage>: ExceptionName: message`, the stage that raised named."""
+    from kstensor import solver
+
+    entries = {}
+    for case, lines in CONFIG_CASES.items():
+        stage = "parse_config"
+        try:
+            config = solver.parse_config(CONFIG_BASE + lines)
+            stage = "make_initial_data"
+            solver.make_initial_data(config.initial, config.grid, config.epsilon)
+            entries[f"config/{case}"] = "ok"
+        except Exception as exc:  # the outcome recorded is the exception, whatever it is
+            entries[f"config/{case}"] = f"{stage}: {type(exc).__name__}: {exc}"
+    return entries
+
+
 def fingerprint(tree: str) -> dict:
     workloads = _load_workloads(tree)
     entries = {}
@@ -227,6 +269,7 @@ def fingerprint(tree: str) -> dict:
     entries.update(collapse64_entries(workloads))
     entries.update(heat64_entries(workloads))
     entries.update(analysis_entries(workloads))
+    entries.update(config_entries())
     for n in KERNEL_SIZES:
         for blocks in KERNEL_BLOCKS:
             kernels = kernel_entries(n, blocks)
