@@ -3,13 +3,14 @@
 Solves -Laplace(v) = u on all of R^3 restricted to a cube, via discrete
 convolution with the kernel K(x) = 1/(4 pi |x|):
 
-* fast path: zero-padded FFT convolution (domain doubled per axis, so the
-  periodic product realizes the free-space sum exactly on the original box).
-  The padded spectrum is never formed: after the z and y passes, slabs of
-  ky rows are padded along x, transformed, multiplied by each real kernel
-  table and transformed back, in lanes sharing a fixed buffer, with the same
-  bits for any count. The tables come from one octant by DCT-I/DST-I once per
-  n_cells, free of the grid spacing, which enters as one scalar per inverse;
+* fast path: zero-padded FFT convolution, every transform numpy.fft's (domain
+  doubled per axis, so the periodic product realizes the free-space sum exactly
+  on the original box). The padded spectrum is never formed: after the z and y
+  passes, slabs of ky rows are padded along x, transformed, multiplied by each
+  real kernel table and transformed back, in lanes sharing a fixed buffer, with
+  the same bits for any count. The tables come from one octant by DCT-I/DST-I
+  (rffts of its even and odd extensions) once per n_cells, free of the grid
+  spacing, which enters as one scalar per inverse;
 * direct path: O(N^2) double sum, an independent oracle for the fast path,
   visiting each pair of cells once over a table of the (2n-1)^3 integer
   displacements.
@@ -39,7 +40,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import BadParameter, DomainError, GridTooSmall, TooLarge
 
@@ -59,7 +59,6 @@ _BLOCK_PAIRS = 1 << 17
 FAST_MIN_CELLS = 16
 _SLAB_ROWS = 16  # ky rows per slab buffer, over all lanes of the x pass: 0.5 MB at 32^3
 
-_FFT_WORKERS = -1  # scipy.fft uses all available cores
 _BLOCKS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _MIN_BLOCK_CELLS = 1 << 15  # cells per step-kernel block: 32^3 runs in one block, 64^3 in two+
 
@@ -246,16 +245,13 @@ class _KernelTables:
         with np.errstate(divide="ignore"):
             k = 1.0 / (4.0 * math.pi * r)
         k[0, 0, 0] = CUBE_MEAN_INV_R / (4.0 * math.pi)
-        k_oct = sfft.dctn(k, type=1, workers=_FFT_WORKERS)
+        k_oct = _dct1(_dct1(_dct1(k, 0), 1), 2)
         del k
         # the DFT of an odd sequence is -i times its DST-I, and
         # grad_x K = -x / (4 pi r^3): the table transforms +x / (4 pi r^3)
         g = d[1:n, None, None] / (4.0 * math.pi * r[1:n] ** 3)
         gx_oct = np.zeros_like(k_oct)
-        gx_oct[1:n] = sfft.dctn(
-            sfft.dst(g, type=1, axis=0, workers=_FFT_WORKERS),
-            type=1, axes=(1, 2), workers=_FFT_WORKERS,
-        )
+        gx_oct[1:n] = _dct1(_dct1(_dct1(g, 0, odd=True), 1), 2)
         del g, r
         self.k_hat = _unfold(k_oct, n)
         self.g_hat = [
@@ -267,6 +263,15 @@ class _KernelTables:
         self.nbytes = sum(
             a.nbytes for pair in (self.k_hat, *self.g_hat) for a in pair if a.base is None
         )
+
+
+def _dct1(a: np.ndarray, ax: int, odd: bool = False) -> np.ndarray:
+    """DCT-I of `a` along ax, or its DST-I if odd: the real part of the rfft of the even
+    extension, or minus the imaginary part of the rfft of the odd extension."""
+    a = np.moveaxis(a, ax, 0)
+    z = np.zeros_like(a[:1])
+    f = np.fft.rfft(np.concatenate([z, a, z, -a[::-1]] if odd else [a, a[-2:0:-1]]), axis=0)
+    return np.moveaxis(-f.imag[1:-1] if odd else f.real, 0, ax)
 
 
 def _unfold(octant: np.ndarray, n: int, odd_x: bool = False, odd_y: bool = False):
@@ -304,19 +309,19 @@ def _x_pass(start: int, stop: int, half: np.ndarray, tables: list, outs: list, b
         spec, prod = spec_buf[:, : k - j], prod_buf[:, : k - j]
         spec[:n] = half[:, j:k]
         spec[n:] = 0.0
-        sfft.fft(spec, axis=0, overwrite_x=True, workers=1)
+        np.fft.fft(spec, axis=0, out=spec)
         for (lo, hi), out in zip(tables, outs):
             # rows kx in [0, n] meet a table's lo, rows kx in [n+1, 2n) its hi
             np.multiply(spec[: n + 1], lo[:, j:k], out=prod[: n + 1])
             np.multiply(spec[n + 1 :], hi[:, j:k], out=prod[n + 1 :])
-            out[:, j:k] = sfft.ifft(prod, axis=0, overwrite_x=True, workers=1)[:n]
+            out[:, j:k] = np.fft.ifft(prod, axis=0, out=prod)[:n]
 
 
 def _inverse_yz(spec: np.ndarray, n: int, scale: complex) -> np.ndarray:
     """First octant of the y and z inverse of `spec`, scaled after the y crop; consumes `spec`."""
-    out = sfft.ifft(spec, axis=1, overwrite_x=True, workers=_FFT_WORKERS)[:, :n]
+    out = np.fft.ifft(spec, axis=1, out=spec)[:, :n]
     out *= scale
-    return sfft.irfft(out, n=2 * n, axis=2, workers=_FFT_WORKERS)[:, :, :n]
+    return np.fft.irfft(out, n=2 * n, axis=2)[:, :, :n]
 
 
 def _centered(u: np.ndarray, ax: int, h: float, d: np.ndarray | None = None,
@@ -339,10 +344,10 @@ def _solve_fast(u: DensityField, with_gradient: bool = True):
     if n < FAST_MIN_CELLS:
         raise GridTooSmall(f"n_cells = {n} < {FAST_MIN_CELLS}")
     tab = _tables_for(n)
-    # z and y transforms of the n x rows that hold data, padded by hand (scipy's allocates anew)
+    # z and y transforms of the n x rows that hold data, padded along y by hand for the in-place y fft
     half = np.zeros((n, 2 * n, n + 1), dtype=complex)
-    half[:, :n] = sfft.rfft(u.values, n=2 * n, axis=2, workers=_FFT_WORKERS)
-    half = sfft.fft(half, axis=1, overwrite_x=True, workers=_FFT_WORKERS)
+    half[:, :n] = np.fft.rfft(u.values, n=2 * n, axis=2)
+    np.fft.fft(half, axis=1, out=half)
     # per call, so concurrent solves share nothing; the slab buffers come from this thread's heap
     # (a pool thread's arena keeps freed memory resident). A lane per 16 cells of side, up to the
     # CPU count (at 16^3 a second lane costs more than it saves), all sharing _SLAB_ROWS

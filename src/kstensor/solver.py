@@ -179,8 +179,8 @@ def make_initial_data(
 
     A rescale factor 0 < eps < inf applies eps^(-3) u0(x/eps) by analytic re-evaluation of
     the descriptor (widths, radius and center scale by eps); snapshot files cannot be
-    rescaled this way. Raises ConfigInvalid for a snapshot on another grid, and
-    SupportTooLarge for data that leaks into the boundary shell.
+    rescaled this way. Raises ConfigInvalid for a snapshot on another grid or a sampled mass
+    not positive and finite, and SupportTooLarge for data that leaks into the boundary shell.
     """
     if epsilon is not None and not 0.0 < epsilon < math.inf:
         raise ConfigInvalid(f"epsilon must be positive and finite, got {epsilon}")
@@ -202,6 +202,10 @@ def make_initial_data(
         else:  # ball
             vals = ball_values(grid, initial.mass, initial.radius * eps, center)
     u = DensityField(grid, vals)
+    with np.errstate(over="ignore"):  # a sum past the float range reads inf, rejected here
+        mass = u.mass
+    if not 0.0 < mass < math.inf:
+        raise ConfigInvalid(f"initial data must have a positive finite mass on the grid, got {mass}")
     frac = boundary_mass_fraction(u)
     if frac >= 1e-6:
         raise SupportTooLarge(
@@ -334,8 +338,6 @@ def run(config: SimConfig) -> SimOutcome:
     h = grid.h
     u = make_initial_data(config.initial, grid, config.epsilon)
     sup0 = u.max_value
-    if sup0 <= 0.0:
-        raise ConfigInvalid("initial data is identically zero")
 
     records: list[DiagnosticsRecord] = []
     pending_snapshots = sorted(config.snapshot_times)

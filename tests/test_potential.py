@@ -1,5 +1,8 @@
 import logging
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import FrozenInstanceError
 
@@ -564,6 +567,23 @@ class TestKernelTables:
         for name, factor in (("v", 4.0), ("gx", 2.0), ("gy", 2.0), ("gz", 2.0)):
             np.testing.assert_array_equal(getattr(large, name), factor * getattr(small, name))
 
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_octants_match_dct1_and_dst1(self, n):
+        # the tables' own DCT-I and DST-I against scipy.fft's, an independent reference
+        tab = potential._KernelTables(n)
+        d = np.arange(n + 1, dtype=float)
+        r = np.sqrt(d[:, None, None] ** 2 + d[None, :, None] ** 2 + d[None, None, :] ** 2)
+        with np.errstate(divide="ignore"):
+            k = 1.0 / (4.0 * math.pi * r)
+        k[0, 0, 0] = CUBE_MEAN_INV_R / (4.0 * math.pi)
+        gx = np.zeros_like(k)
+        g = d[1:n, None, None] / (4.0 * math.pi * r[1:n] ** 3)
+        gx[1:n] = sfft.dctn(sfft.dst(g, type=1, axis=0), type=1, axes=(1, 2))
+        octants = (tab.k_hat[0][:, : n + 1], tab.g_hat[0][0][:, : n + 1])
+        for got, ref in zip(octants, (sfft.dctn(k, type=1), gx)):
+            assert got.shape == ref.shape == (n + 1,) * 3
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(got))
+
     def test_build_peak_memory_below_40mb(self):
         tracemalloc.start()
         try:
@@ -573,6 +593,24 @@ class TestKernelTables:
             tracemalloc.stop()
         assert peak < 40 * 2**20
         assert tab.nbytes <= 24e6
+
+
+def test_package_runs_without_scipy():
+    # numpy.fft does every transform: importing scipy.fft alone costs a process about 0.27 s
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import kstensor, kstensor.cli, kstensor.verify\n"
+        "from kstensor.potential import DensityField, Grid3, solve_potential_fast\n"
+        "kstensor.verify.run_suite('potential-oracle')\n"
+        "solve_potential_fast(DensityField(Grid3(16, 2.0), np.ones((16, 16, 16))))\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(potential.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
 
 
 class TestPointSource:

@@ -156,6 +156,19 @@ class TestMakeInitialData:
         with pytest.raises(ConfigInvalid):
             make_initial_data(InitialData(kind="file", path=path), grid, epsilon=0.5)
 
+    def test_rejects_ball_covering_no_cell_centre(self):
+        # a valid descriptor can sample to all zeros: a ball between cell centres
+        desc = InitialData("ball", radius=0.01, center=(0.1, 0.1, 0.1))
+        with pytest.raises(ConfigInvalid, match=r"positive finite mass on the grid, got 0\.0$"):
+            make_initial_data(desc, Grid3(16, 4.0))
+
+    def test_rejects_mass_past_the_float_range(self):
+        # finite values whose sum overflows: the leak fraction would be inf/inf = NaN, which
+        # passes the leak check, and the sum must not raise numpy's overflow warning
+        desc = InitialData("gaussian", mass=1e308, sigma=(0.5,) * 3)
+        with pytest.raises(ConfigInvalid, match=r"positive finite mass on the grid, got inf$"):
+            make_initial_data(desc, Grid3(16, 4.0))
+
 
 class TestStep:
     def test_pure_diffusion_matches_heat_kernel(self):
