@@ -49,12 +49,11 @@ def cmd_check_matrix(args) -> int:
 
 def cmd_thresholds(args) -> int:
     flux = FluxTensor.from_matrix(read_matrix(args.inline, args.file))
-    dim = flux.n if args.dim is None else args.dim
-    verdict = th.admissibility(args.moment, args.mass, flux, args.chi, dim)
+    verdict = th.admissibility(args.moment, args.mass, flux, args.chi, flux.n)
     _report(
         c_bl=verdict.c_bl, admissible="true" if verdict.admissible else "false",
         margin=verdict.margin,
-        epsilon=th.rescale_epsilon(args.moment, args.mass, flux, args.chi, dim)
+        epsilon=th.rescale_epsilon(args.moment, args.mass, flux, args.chi, flux.n)
         if args.moment > 0.0 else float("inf"),
         t_upper="none" if verdict.t_upper is None else verdict.t_upper, f_w0=verdict.f_w0,
     )
@@ -105,18 +104,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
+    matrix = argparse.ArgumentParser(add_help=False)  # the flux matrix; its size is the dimension n
+    matrix.add_argument("--file", help="matrix text file (n lines of n numbers)")
+    matrix.add_argument("--inline", help="row-major comma-separated entries "
+                        "(use --inline=... when the first entry is negative)")
 
-    p = sub.add_parser("check-matrix", help="polar-decompose a flux matrix and check the hypothesis")
-    p.add_argument("--file", help="matrix text file (n lines of n numbers)")
-    p.add_argument("--inline", help="row-major comma-separated entries "
-                   "(use --inline=... when the first entry is negative)")
+    p = sub.add_parser("check-matrix", parents=[matrix], help="polar-decompose a flux matrix and check the hypothesis")
     p.set_defaults(func=cmd_check_matrix)
 
-    p = sub.add_parser("thresholds", help="blow-up admissibility report for given mass/moment")
-    p.add_argument("--file", help="matrix text file")
-    p.add_argument("--inline", help="row-major comma-separated matrix")
+    p = sub.add_parser("thresholds", parents=[matrix], help="blow-up admissibility report for given mass/moment")
     p.add_argument("--chi", type=float, required=True, help="chemotactic sensitivity (> 0)")
-    p.add_argument("--dim", type=int, help="space dimension n >= 3 (default: the matrix size)")
     p.add_argument("--mass", type=float, required=True, help="total mass M")
     p.add_argument("--moment", type=float, required=True, help="initial second moment m0")
     p.set_defaults(func=cmd_thresholds)

@@ -471,7 +471,7 @@ def solve_potential_direct(u: DensityField) -> PotentialField:
 # ---------------------------------------------------------------------------
 
 
-def save_field(values: np.ndarray, grid: Grid3, path: str, name: str, time: float) -> None:
+def save_field(values: np.ndarray, grid: Grid3, path: str, time: float) -> None:
     arr = np.ascontiguousarray(values, dtype="<f8")
     arr.tofile(path)
     with open(path + ".meta", "w", encoding="utf-8") as fh:
@@ -479,7 +479,7 @@ def save_field(values: np.ndarray, grid: Grid3, path: str, name: str, time: floa
         fh.write(f"half_width={grid.half_width!r}\n")
         fh.write(f"spacing={grid.h!r}\n")
         fh.write(f"time={time!r}\n")
-        fh.write(f"field={name}\n")
+        fh.write("field=u\n")
 
 
 def load_field(path: str) -> tuple[np.ndarray, Grid3, dict]:

@@ -409,7 +409,7 @@ def run(config: SimConfig) -> SimOutcome:
         while pending_snapshots and t >= pending_snapshots[0]:
             if config.output_dir:
                 path = os.path.join(config.output_dir, f"u_t{t:.6f}.bin")
-                save_field(u.values, grid, path, "u", t)
+                save_field(u.values, grid, path, t)
             pending_snapshots.pop(0)
         _lap("output")
         if len(dts) % config.diagnostics_every == 0:

@@ -27,6 +27,7 @@ from .potential import (
 )
 
 logger = logging.getLogger(__name__)
+_HALF_WIDTH = 4.0
 
 # (name, density, its fast-solved potential) for each density of a battery
 Battery = list[tuple[str, DensityField, PotentialField]]
@@ -40,14 +41,12 @@ class CaseResult:
     passed: bool
 
 
-def density_suite(
-    n_cells: int = 32, half_width: float = 4.0, count: int | None = None
-) -> list[tuple[str, DensityField]]:
-    """The stock 12-density battery: Gaussians, balls, bumps, random fields.
+def density_suite(n_cells: int = 32, count: int | None = None) -> list[tuple[str, DensityField]]:
+    """The stock 12-density battery on [-4, 4]^3: Gaussians, balls, bumps, random fields.
 
     ``count`` builds only the first ``count`` densities.
     """
-    grid = Grid3(n_cells, half_width)
+    grid = Grid3(n_cells, _HALF_WIDTH)
     r2 = grid.radius_squared()
 
     def smooth_random(seed):
@@ -59,7 +58,7 @@ def density_suite(
             for ax in range(3):
                 sm += 0.5 * (np.roll(raw, 1, axis=ax) + np.roll(raw, -1, axis=ax))
             raw = sm / 4.0
-        envelope = np.exp(-r2 / (2.0 * (half_width / 3.5) ** 2))
+        envelope = np.exp(-r2 / (2.0 * (_HALF_WIDTH / 3.5) ** 2))
         return raw * envelope
 
     def shell():
@@ -83,11 +82,9 @@ def density_suite(
     return [(name, DensityField(grid, make())) for name, make in makers[:count]]
 
 
-def solved_battery(
-    n_cells: int = 32, half_width: float = 4.0, count: int | None = None
-) -> Battery:
+def solved_battery(n_cells: int = 32, count: int | None = None) -> Battery:
     """`density_suite` with each density's fast-solved potential: (name, u, pot)."""
-    return [(name, u, solve_potential_fast(u)) for name, u in density_suite(n_cells, half_width, count)]
+    return [(name, u, solve_potential_fast(u)) for name, u in density_suite(n_cells, count)]
 
 
 def suite_potential_oracle(seeds: int = 3) -> list[CaseResult]:
@@ -150,7 +147,7 @@ def suite_moment_identity(battery: Battery) -> list[CaseResult]:
     chi = 1.0
 
     # identity route equals the symmetrized double-sum route (exchange of x, y)
-    for name, u, pot in solved_battery(n_cells=16, half_width=4.0, count=4):
+    for name, u, pot in solved_battery(n_cells=16, count=4):
         ident = fn.moment_rhs_identity(u, flux_rot, chi, pot=pot)
         adv_direct = fn.interaction_symmetrized_direct(u, flux_rot.u_orth)
         direct = 2.0 * flux_rot.trace_pinv * u.mass + chi * adv_direct
@@ -182,26 +179,22 @@ _BATTERY_SUITES = {
 SUITES = ("potential-oracle", *_BATTERY_SUITES, "all")
 
 
-def run_suite(name: str, battery: Battery | None = None) -> list[CaseResult]:
-    """Run one named suite; logs one INFO line with its case counts and wall time.
+def run_suite(name: str) -> list[CaseResult]:
+    """Run one named suite ("all" runs each); logs one INFO line with its case counts and wall time.
 
-    The suites that read the 32^3 battery take ``battery`` when given; this
-    is the one place that solves one otherwise, and "all" hands one to each.
+    The suites that read the 32^3 battery share one solve of it.
     """
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     t0 = time.perf_counter()
-    if name == "potential-oracle":
-        results = suite_potential_oracle()
-    elif name in _BATTERY_SUITES:
-        results = _BATTERY_SUITES[name](solved_battery() if battery is None else battery)
-    elif name == "all":
-        results = run_suite("potential-oracle")
+    results = suite_potential_oracle() if name in ("potential-oracle", "all") else []
+    if name != "potential-oracle":
         # solved only now: the battery (about 16 MB) must not be alive
         # during the oracle's 64^3 solve, which sets the peak memory
         battery = solved_battery()
-        for sub in _BATTERY_SUITES:
-            results.extend(run_suite(sub, battery))
-    else:
-        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+        for sub, suite in _BATTERY_SUITES.items():
+            if name in (sub, "all"):
+                results.extend(suite(battery))
     logger.info(
         "suite %s: %d cases run, %d passed, %.1f ms",
         name, len(results), sum(res.passed for res in results),

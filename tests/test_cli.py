@@ -125,34 +125,33 @@ class TestThresholds:
         assert out == ""
         assert "finite" in err
 
-    @pytest.mark.parametrize(
-        "inline, dim",
-        [("1,0,0,1", "3"), (IDENT, "4"), (IDENT, "5"), (",".join("1000010000100001"), "3")],
-    )
-    def test_dimension_mismatch_rejected(self, capsys, inline, dim):
-        code, out, err = run_cli(
-            capsys, "thresholds", "--inline", inline, "--dim", dim,
-            "--chi", "1", "--mass", "1", "--moment", "1e-5",
-        )
-        assert code == 1
-        assert out == ""
-        assert "does not match" in err
+    def test_dim_flag_refused(self, capsys):
+        # the dimension is the matrix size; there is no second source for it
+        with pytest.raises(SystemExit) as exc:
+            main(["thresholds", "--inline", IDENT, "--dim", "3",
+                  "--chi", "1", "--mass", "1", "--moment", "1e-5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dim 3" in capsys.readouterr().err
 
     def test_missing_source_exit_one(self, capsys, no_matrix_message):
         code, out, err = run_cli(capsys, "thresholds", "--chi", "1", "--mass", "1", "--moment", "1")
         assert (code, out, err) == (1, "", f"error: {no_matrix_message}\n")
 
-    def test_dimension_defaults_to_matrix_size(self, capsys):
-        ident4 = ",".join("1" if i % 5 == 0 else "0" for i in range(16))
-        common = ("--chi", "1", "--mass", "1", "--moment", "1e-5")
-        code, out, _ = run_cli(capsys, "thresholds", "--inline", ident4, *common)
-        assert code == 0
-        assert "c_bl=0.00316628698882" in out
-        code_dim, out_dim, _ = run_cli(
-            capsys, "thresholds", "--inline", ident4, "--dim", "4", *common
+    @pytest.mark.parametrize("n, c_bl", [(4, "0.00316628698882"), (5, "0.012174683669")])
+    def test_dimension_is_the_matrix_size(self, capsys, n, c_bl):
+        ident = ",".join("1" if i % (n + 1) == 0 else "0" for i in range(n * n))
+        code, out, _ = run_cli(
+            capsys, "thresholds", "--inline", ident, "--chi", "1", "--mass", "1", "--moment", "1e-5"
         )
-        assert code_dim == 0
-        assert out_dim == out
+        assert code == 0
+        assert f"c_bl={c_bl}" in out
+
+    @pytest.mark.parametrize("command", ["check-matrix", "thresholds"])
+    def test_help_notes_inline_equals(self, capsys, command):
+        # both read the matrix from the same options, so both show how to pass a leading minus
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "--inline=..." in capsys.readouterr().out
 
     def test_default_dimension_below_three_rejected(self, capsys):
         code, out, err = run_cli(

@@ -126,7 +126,7 @@ class TestMomentMatrices:
     def test_contractions_match_mesh_forms(self, matrix):
         flux = FluxTensor.from_matrix(matrix)
         chi = 2.0
-        for name, u in density_suite(16, 4.0):
+        for name, u in density_suite(16):
             pot = solve_potential_fast(u)
             pairs = [
                 (fn.second_moment(u), mesh_second_moment(u)),
@@ -520,7 +520,7 @@ class TestDiagnostics:
     def test_sup_norm_readers_bitwise_as_reductions_of_values(self, n):
         # linf, lq and the |grad v| bound read the field's kept max: the same bits as a new pass
         flux = FluxTensor.from_matrix(np.eye(3))
-        for name, u in density_suite(n, 4.0):
+        for name, u in density_suite(n):
             vals, m_tot, omega = u.values, u.mass, potential.unit_ball_volume(3)
             linf = float(vals.max())
             scaled = vals / linf

@@ -738,7 +738,7 @@ class TestFieldIO:
         rng = np.random.default_rng(9)
         vals = rng.random((16, 16, 16))
         path = str(tmp_path / "snap.bin")
-        save_field(vals, grid, path, "u", 0.25)
+        save_field(vals, grid, path, 0.25)
         loaded, lgrid, meta = load_field(path)
         np.testing.assert_array_equal(loaded, vals)
         assert lgrid.n_cells == 16
@@ -749,7 +749,7 @@ class TestFieldIO:
     def test_rejects_truncated(self, tmp_path):
         grid = Grid3(16, 1.5)
         path = str(tmp_path / "snap.bin")
-        save_field(np.zeros((16, 16, 16)), grid, path, "u", 0.0)
+        save_field(np.zeros((16, 16, 16)), grid, path, 0.0)
         with open(path, "r+b") as fh:
             fh.truncate(100)
         with pytest.raises(ValueError):

@@ -107,7 +107,7 @@ class TestMakeInitialData:
         grid = Grid3(32, 8.0)
         src = make_initial_data(InitialData(kind="gaussian", mass=1.0, sigma=(1.0,) * 3), grid)
         path = str(tmp_path / "init.bin")
-        save_field(src.values, grid, path, "u", 0.0)
+        save_field(src.values, grid, path, 0.0)
         u = make_initial_data(InitialData(kind="file", path=path), grid)
         np.testing.assert_array_equal(u.values, src.values)
 
@@ -115,7 +115,7 @@ class TestMakeInitialData:
         grid = Grid3(32, 8.0)
         src = make_initial_data(InitialData(kind="gaussian", mass=1.0, sigma=(1.0,) * 3), grid)
         path = str(tmp_path / "init.bin")
-        save_field(src.values, grid, path, "u", 0.0)
+        save_field(src.values, grid, path, 0.0)
         with pytest.raises(ConfigInvalid):
             make_initial_data(InitialData(kind="file", path=path), Grid3(32, 4.0))
 
@@ -152,7 +152,7 @@ class TestMakeInitialData:
         grid = Grid3(32, 8.0)
         src = make_initial_data(InitialData(kind="gaussian", mass=1.0, sigma=(1.0,) * 3), grid)
         path = str(tmp_path / "init.bin")
-        save_field(src.values, grid, path, "u", 0.0)
+        save_field(src.values, grid, path, 0.0)
         with pytest.raises(ConfigInvalid):
             make_initial_data(InitialData(kind="file", path=path), grid, epsilon=0.5)
 

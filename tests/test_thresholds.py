@@ -258,7 +258,7 @@ class TestCompatibility:
         l2, r2, _ = th.compatibility_check(u2, c_n=0.4)
         assert l1 / r1 == pytest.approx(l2 / r2, rel=1e-6)
 
-    @pytest.mark.parametrize("u", [pytest.param(u, id=name) for name, u in density_suite(16, 4.0)])
+    @pytest.mark.parametrize("u", [pytest.param(u, id=name) for name, u in density_suite(16)])
     def test_exact_twin_has_the_same_ratio(self, u):
         # eps^-3 u(x / eps) with eps = 1/2: the same cells on a box half as wide,
         # values x 8; cell centres halve exactly, so both sides double

@@ -1,5 +1,7 @@
 """The verify suites share one solved battery within a `run_suite` call."""
 
+import logging
+import re
 from collections import Counter
 
 import numpy as np
@@ -36,6 +38,14 @@ def test_all_equals_suites_run_one_by_one():
     # the margins are bitwise equal: the shared solves are the same solves
     assert together == one_by_one
     assert len(together) == 49
+
+
+def test_all_logs_one_line(caplog):
+    with caplog.at_level(logging.INFO, logger="kstensor.verify"):
+        run_suite("all")
+    lines = [r.getMessage() for r in caplog.records if r.name == "kstensor.verify"]
+    assert len(lines) == 1
+    assert re.fullmatch(r"suite all: 49 cases run, 49 passed, \d+\.\d ms", lines[0])
 
 
 def test_all_solves_each_density_once(solves):
