@@ -15,7 +15,6 @@ from .errors import (
     BadParameter,
     CflViolation,
     ConfigInvalid,
-    DomainError,
     GridTooSmall,
     HypothesisViolated,
     KSTensorError,
@@ -50,8 +49,6 @@ from .potential import (
     DensityField,
     Grid3,
     PotentialField,
-    grad_kernel,
-    kernel_value,
     solve_potential_direct,
     solve_potential_fast,
 )

@@ -21,10 +21,6 @@ class NotSPD(KSTensorError):
     """Matrix is not symmetric positive definite."""
 
 
-class DomainError(KSTensorError):
-    """Function evaluated outside its domain (e.g. kernel at x = 0)."""
-
-
 class GridTooSmall(KSTensorError):
     """Grid resolution below the supported minimum."""
 

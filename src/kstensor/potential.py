@@ -24,8 +24,6 @@ to terms in u and, per gradient axis, the centred difference of u there).
 For diagnostics records the gradient of v is convolved with grad K directly
 rather than obtained by differencing v, free of compounded error; the time
 stepper's drift differences v at the cell faces, from one inverse transform.
-Analytic kernel evaluation supports general dimension n >= 3; gridded
-fields are three-dimensional only.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter, DomainError, GridTooSmall, TooLarge
+from .errors import BadParameter, GridTooSmall, TooLarge
 
 # mean of 1/|x| over the unit cube centered at the origin:
 # 2x the corner potential of the unit cube, 3*ln((1+sqrt(3))/sqrt(2)) - pi/4
@@ -74,9 +72,9 @@ def _in_blocks(task, n: int, blocks: int, *args) -> list:
     """[task(lo, hi, *args) for each of min(blocks, n) contiguous blocks [lo, hi) of range(n)].
 
     The first block runs on the caller, the rest on the pool. A task writes only its block,
-    by the same operations per element as one block, and never calls this helper. A step kernel
-    makes one call (the drift two) on rows along axis 0, in `_step_blocks` blocks: one below
-    the floor. Its tasks read a halo row of read-only inputs across each cut.
+    by the same operations per element as one block, and never calls this helper. Every call
+    takes `_step_blocks` blocks, one below the floor; a solve's x pass takes at most _SLAB_ROWS.
+    A step kernel cuts rows along axis 0, its tasks reading read-only halo rows across each cut.
     """
     cuts = sorted({n * b // blocks for b in range(blocks + 1)})  # no empty block
     rest = [_pool(os.getpid()).submit(task, *lohi, *args) for lohi in zip(cuts[1:-1], cuts[2:])]
@@ -96,29 +94,6 @@ def _require_dimension(n: int) -> None:
     """BadParameter unless n >= 3, the dimensions the analysis layer covers."""
     if n < 3:
         raise BadParameter(f"dimension must be >= 3, got {n}")
-
-
-def _kernel_radius(x, n: int) -> float:
-    """|x|, once n >= 3, x in R^n and x != 0 are checked: K and grad K are singular at 0."""
-    _require_dimension(n)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        raise BadParameter(f"x must have {n} components, got shape {x.shape}")
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
-        raise DomainError("kernel is singular at x = 0")
-    return r
-
-
-def kernel_value(x, n: int = 3) -> float:
-    """Newtonian kernel K_n(x) = |x|^(2-n) / (n (n-2) omega_n), omega_n = |B_1(0)|."""
-    return _kernel_radius(x, n) ** (2 - n) / (n * (n - 2) * unit_ball_volume(n))
-
-
-def grad_kernel(x, n: int = 3) -> np.ndarray:
-    """Gradient of the Newtonian kernel: -x / (n omega_n |x|^n)."""
-    x = np.asarray(x, dtype=float)
-    return -x / (n * unit_ball_volume(n) * _kernel_radius(x, n) ** n)
 
 
 @dataclass(frozen=True)
@@ -349,11 +324,11 @@ def _solve_fast(u: DensityField, with_gradient: bool = True):
     half[:, :n] = np.fft.rfft(u.values, n=2 * n, axis=2)
     np.fft.fft(half, axis=1, out=half)
     # per call, so concurrent solves share nothing; the slab buffers come from this thread's heap
-    # (a pool thread's arena keeps freed memory resident). A lane per 16 cells of side, up to the
-    # CPU count (at 16^3 a second lane costs more than it saves), all sharing _SLAB_ROWS
+    # (a pool thread's arena keeps freed memory resident). A lane per step-kernel block, all
+    # sharing _SLAB_ROWS
     tables = [*(tab.g_hat if with_gradient else []), tab.k_hat]
     specs = [np.empty_like(half) for _ in tables[1:]]
-    lanes = min(_BLOCKS, n // 16, _SLAB_ROWS)
+    lanes = min(_step_blocks(n ** 3), _SLAB_ROWS)
     shape = (lanes, min(len(tables), 2), 2 * n, _SLAB_ROWS // lanes, n + 1)
     _in_blocks(_x_pass, lanes, lanes, half, tables, specs + [half], np.empty(shape, dtype=complex))
     # cell volume h^3 times the unit tables' 1/h (K) and i/h^2 (grad K); the

@@ -1,4 +1,4 @@
-"""Acceptance criteria, one test per numbered criterion.
+"""Acceptance criteria, one test per numbered criterion, and the blow-up time's certificate.
 
 Each test prints a single `ACCEPTANCE <k> <PASS|FAIL>` line (run pytest with
 -s or check captured output). The three dichotomy experiments run once per
@@ -202,6 +202,19 @@ def test_criterion_6_global_experiment(global_outcome):
         f"status={outcome.status} t_final={outcome.t_final:.1f}, "
         f"linf {linf[0]:.4e} -> {linf[-1]:.4e}, L^(3/2) non-increasing, {elapsed:.0f}s",
     )
+
+
+def test_blowup_ends_inside_its_certificate(blowup_outcome, global_outcome):
+    # beside criterion 5: the admissibility verdict's t_upper bounds the blow-up run's end, and
+    # the global preset gets no certificate
+    verdicts = []
+    for *_, config in (blowup_outcome, global_outcome):
+        u0 = make_initial_data(config.initial, config.grid)
+        flux = FluxTensor.from_matrix(config.matrix)
+        verdicts.append(th.admissibility(fn.second_moment(u0), u0.mass, flux, config.chi, 3))
+    blowup, global_ = verdicts
+    assert blowup.admissible and blowup_outcome[0].t_final < blowup.t_upper
+    assert not global_.admissible
 
 
 def test_criterion_7_conservation_and_positivity(

@@ -13,13 +13,10 @@ from kstensor import functionals as fn
 from kstensor import thresholds as th
 from kstensor.errors import BadParameter
 from kstensor.matrixflux import FluxTensor, rotation_z
-from kstensor.potential import grad_kernel, kernel_value
 
 FLUX = FluxTensor.from_matrix(rotation_z(math.pi / 3))
 
 CALLS = {
-    "kernel_value": lambda n: kernel_value([1.0, 0.0, 0.0], n),
-    "grad_kernel": lambda n: grad_kernel([1.0, 0.0, 0.0], n),
     # these two take n from the flux, and a 0x0 flux cannot be built
     "aggregation_coefficient": lambda n: fn.aggregation_coefficient(FluxTensor.from_matrix(np.eye(n)), 1.0),
     "moment_rhs_bound": lambda n: fn.moment_rhs_bound(1.0, 1.0, FluxTensor.from_matrix(np.eye(n)), 1.0),
@@ -37,8 +34,7 @@ FROM_FLUX = ("aggregation_coefficient", "moment_rhs_bound")
 )
 def test_dimension_below_3_is_one_error(name, n):
     # aggregation_coefficient, moment_rhs_bound and the moment ODE rate of admissibility
-    # used to take any n (n = 0 divided by zero), and the kernels raised a DomainError of
-    # their own
+    # used to take any n (n = 0 divided by zero)
     with pytest.raises(BadParameter, match=rf"^dimension must be >= 3, got {n}$"):
         CALLS[name](n)
 

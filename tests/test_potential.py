@@ -13,15 +13,13 @@ from scipy.special import erf
 
 from grid_meshes import meshes
 from kstensor import potential
-from kstensor.errors import BadParameter, DomainError, GridTooSmall, TooLarge
+from kstensor.errors import BadParameter, GridTooSmall, TooLarge
 from kstensor.potential import (
     CUBE_MEAN_INV_R,
     DensityField,
     Grid3,
     ball_values,
     gaussian_values,
-    grad_kernel,
-    kernel_value,
     load_field,
     save_field,
     solve_potential_direct,
@@ -46,41 +44,7 @@ def gaussian_potential_exact(grid, mass=1.0, sigma=1.0):
     return r, v, menc / (4 * math.pi * r**2), menc
 
 
-class TestKernel:
-    def test_values_3d(self):
-        assert abs(kernel_value([1.0, 0, 0]) - 1 / (4 * math.pi)) < 1e-15
-        assert abs(kernel_value([0, 0, 2.0]) - 1 / (8 * math.pi)) < 1e-15
-
-    def test_value_4d(self):
-        assert abs(kernel_value([1.0, 0, 0, 0], n=4) - 1 / (4 * math.pi**2)) < 1e-15
-
-    def test_gradient_values(self):
-        g = grad_kernel([1.0, 0.0, 0.0])
-        np.testing.assert_allclose(g, [-1 / (4 * math.pi), 0, 0], atol=1e-16)
-        g = grad_kernel([0.0, 0.0, 2.0])
-        np.testing.assert_allclose(g, [0, 0, -1 / (16 * math.pi)], atol=1e-16)
-
-    def test_gradient_antisymmetry(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            x = rng.standard_normal(3)
-            np.testing.assert_allclose(grad_kernel(-x), -grad_kernel(x), rtol=1e-14)
-
-    def test_singular_at_origin(self):
-        with pytest.raises(DomainError):
-            kernel_value([0.0, 0.0, 0.0])
-        with pytest.raises(DomainError):
-            grad_kernel([0.0, 0.0, 0.0])
-
-    @pytest.mark.parametrize(
-        "x, n",
-        [([1.0, 0.0, 0.0], 5), ([1.0, 0.0], 4), ([1.0, 0.0, 0.0, 0.0], 3), ([[1.0, 0.0, 0.0]], 3)],
-    )
-    def test_rejects_x_not_in_r_n(self, x, n):
-        for kernel in (kernel_value, grad_kernel):
-            with pytest.raises(BadParameter, match=f"x must have {n} components"):
-                kernel(x, n)
-
+class TestCubeMeanInvR:
     def test_cube_mean_constant(self):
         # closed form for the cell-averaged singular kernel
         assert abs(CUBE_MEAN_INV_R - 2.380077363979553) < 1e-14
@@ -326,7 +290,7 @@ class TestOracleEquivalence:
         self.test_potential_only_solve_peak_memory_below_9_grids()
 
     def test_peak_memory_does_not_grow_with_cpu_count(self, cpus):
-        # at 64^3 the x pass runs 2 lanes on 2 CPUs and 4 on 16, sharing 16 ky rows per slab
+        # at 64^3 the x pass runs 2 lanes on 2 CPUs and 16 on 16, sharing 16 ky rows per slab
         # buffer; more lanes add only numpy's 128 KB cast buffer each, 1/16 of a grid array
         u = gaussian_field(Grid3(64, 2.0), sigma=0.4)
         potential._tables_for(64)

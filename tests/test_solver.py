@@ -808,10 +808,11 @@ def short_run(chi=30.0, matrix=np.eye(3)):
 class TestRowBlocks:
     """The passes between the FFTs give the same bits for any block count.
 
-    At 16^3, 3 blocks cut the cells 5/5/6; at 64^3 they cut the x pass's 128 spectrum rows
-    into lanes of 42/43/43, walked in slabs of 5 rows with a short last slab. The step
-    kernels' size floor is one cell, so they cut a 16^3 grid too; 40 blocks give one row each,
-    so that every row reads its halo rows across a cut.
+    A solve's x pass takes as many lanes as the step kernels take blocks, at most 16. The size
+    floor is one cell here, so 3 blocks cut a 16^3 grid's cells 5/5/6 and its x pass's 32
+    spectrum rows into lanes of 10/11/11; at 64^3 the 128 rows into lanes of 42/43/43, each
+    walked in slabs of 5 rows with a short last slab. 40 blocks give the step kernels one row
+    each, so that every row reads its halo rows across a cut.
     """
 
     @staticmethod
@@ -849,8 +850,8 @@ class TestRowBlocks:
         want = self.with_blocks(monkeypatch, 1, diffuse)
         np.testing.assert_array_equal(self.with_blocks(monkeypatch, blocks, diffuse), want)
 
-    # the x pass runs min(blocks, n/16) lanes: one at 16^3, whatever the count, two at 32^3
-    # in slabs of 8 rows, against one in slabs of 16; at 64^3 three, then four of 4 rows
+    # with the floor at one cell the x pass runs min(blocks, 16) lanes at every size: 2 in
+    # slabs of 8 rows, 3 of 5, 5 of 3 and 16 of 1, against one lane in slabs of 16
     @pytest.mark.parametrize("n", [16, 32, 64])
     @pytest.mark.parametrize("blocks", [2, 3, 5, 40])
     def test_solves(self, monkeypatch, n, blocks):
@@ -863,6 +864,25 @@ class TestRowBlocks:
         want = self.with_blocks(monkeypatch, 1, solves)
         for g, w in zip(self.with_blocks(monkeypatch, blocks, solves), want):
             np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("blocks", [2, 4])
+    def test_x_pass_takes_the_step_kernels_block_count(self, monkeypatch, n, blocks):
+        # at the default floor: one lane at 16^3 and 32^3, one per CPU at 64^3
+        handed, in_blocks = [], potential._in_blocks
+
+        def recorder(task, *args):
+            if task is potential._x_pass:
+                handed.append(args[1])
+            return in_blocks(task, *args)
+
+        monkeypatch.setattr(potential, "_BLOCKS", blocks)
+        monkeypatch.setattr(potential, "_in_blocks", recorder)
+        u = perturbed_field(n)
+        sv.solve_potential_fast(u)
+        sv.solve_potential_v(u)
+        want = min(potential._step_blocks(n ** 3), potential._SLAB_ROWS)
+        assert handed == [want, want] == [{16: 1, 32: 1, 64: blocks}[n]] * 2
 
     @FACE_MATRICES
     @pytest.mark.parametrize("blocks", [2, 3])
@@ -900,9 +920,8 @@ class TestRowBlocks:
         try:
             sv.step(perturbed_field(16), flux, 30.0, 1e-3)
             assert not submitted
-            u = perturbed_field(32)  # its solve runs two x-pass lanes; its kernels one block
+            u = perturbed_field(32)  # its solve and its kernels run one block each
             v = sv.solve_potential_v(u)
-            submitted.clear()
             bfaces, rate = sv._drift(v, flux, 30.0, u.grid.h)
             sv._diffuse(sv._advect(u.values, bfaces, 1e-3, u.grid.h), u.grid, 1e-3)
             assert not submitted
@@ -958,7 +977,7 @@ class TestConcurrency:
         monkeypatch.setattr(potential, "_MIN_BLOCK_CELLS", 1)
         u = perturbed_field(16)
 
-        def work():  # the 16^3 solve runs one x-pass lane; the diffusion's second block, the pool
+        def work():  # the second x-pass lane and the diffusion's second block run on the pool
             return [sv.solve_potential_fast(u).v, sv._diffuse(u.values, u.grid, 1e-3)]
 
         want = work()  # the parent's pool has run

@@ -13,9 +13,9 @@ A fingerprint holds, each under its own entry name:
 * heat64/<seed>/<file>: the SHA-256 of each artifact of the bench's heat64 runs, seeds 0-1
   (`diagnostics.csv`, each snapshot and its `.meta`, and `outcome.txt` without its `phase_`
   lines);
-* kernels/<n>/<blocks>/...: the potential-only solve and the step kernels `_drift`,
-  `_advect` and `_diffuse` on a fixed 16^3, 32^3 and 64^3 state, cut into 1, 2 and 3 blocks
-  with the block floor at one cell;
+* kernels/<n>/<blocks>/...: the potential-only solve, the full solve (`v`, `gx`, `gy` and
+  `gz` in one hash) and the step kernels `_drift`, `_advect` and `_diffuse` on a fixed 16^3,
+  32^3 and 64^3 state, cut into 1, 2 and 3 blocks with the block floor at one cell;
 * analysis/...: every `FluxTensor` field over the bench's `flux_batch(0)` matrices, every
   `BlowupVerdict` field of `admissibility` on each passing matrix at m0 = 0 and at the
   batch's m0, and the (aspect, ratio) samples of `calibrate_cn`. A field of floats is a
@@ -182,8 +182,9 @@ def heat64_entries(workloads, seeds=range(2)) -> dict:
 
 
 def kernel_entries(n: int, blocks: int) -> dict:
-    """Hashes of one potential-only solve and one step's kernels on a fixed n^3 state, with
-    the grid cut into `blocks` row blocks (block floor one cell); keys name the kernel."""
+    """Hashes of one potential-only solve, one full solve and one step's kernels on a fixed n^3
+    state, with the grid cut into `blocks` row blocks (block floor one cell); keys name the
+    kernel."""
     from kstensor import potential, solver
     from kstensor.matrixflux import FluxTensor
 
@@ -197,11 +198,13 @@ def kernel_entries(n: int, blocks: int) -> dict:
         u = potential.DensityField(grid, vals)
         h = grid.h
         v = potential.solve_potential_v(u)
+        pot = potential.solve_potential_fast(u)
         bfaces, rate = solver._drift(v, FluxTensor.from_matrix(np.array(KERNEL_MATRIX)), KERNEL_CHI, h)
         advected = solver._advect(u.values, bfaces, 0.4 * h / rate, h)
         diffused = solver._diffuse(advected, grid, 1.5 * h * h / 6.0)  # two sub-steps
         return {
             "v": _sha(v.tobytes()),
+            "solve_potential_fast": _sha(b"".join(a.tobytes() for a in (pot.v, pot.gx, pot.gy, pot.gz))),
             "_drift/faces": _sha(b"".join(b.tobytes() for b in bfaces)),
             "_drift/rate": rate.hex(),
             "_advect": _sha(advected.tobytes()),
