@@ -32,25 +32,31 @@ SNAP_TOL = 1e-8
 BOUNDARY_TOL = 1e-10
 
 
-def _polar(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(p, u, sigma) of polar_decompose, with sigma the descending singular values."""
-    a = np.asarray(a, dtype=float)
+def _factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.intc]:
+    """Check a float array a, then (w, sigma, u, exp): a = 2^exp w diag(sigma) v^T, u = w v^T."""
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    # one abs-max is the finiteness probe (NaN and inf propagate through it, and it cannot
+    # overflow) and the scale: a power of two near it scales a exactly, so results stay
+    # bitwise equal under power-of-two scaling of a
+    top = float(np.abs(a).max())
+    if not math.isfinite(top):
         raise BadParameter(f"matrix entries must be finite, got {a.tolist()}")
-    # factor a scaled by a power of two near its largest entry: the scaling is
-    # exact, so results stay bitwise equal under power-of-two scaling of a
-    exp = math.frexp(np.abs(a).max())[1]
+    exp = np.intc(math.frexp(top)[1])  # np.ldexp dispatches on a numpy int in half the time
     w, sigma, vt = np.linalg.svd(np.ldexp(a, -exp))
-    if sigma[-1] <= SINGULAR_RTOL * sigma[0]:
-        ratio = sigma[-1] / sigma[0] if sigma[0] > 0.0 else 0.0
+    sv = sigma.tolist()
+    if sv[-1] <= SINGULAR_RTOL * sv[0]:
+        ratio = sv[-1] / sv[0] if sv[0] > 0.0 else 0.0
         raise SingularMatrix(
             f"matrix is singular to working precision (sigma_min/sigma_max = {ratio:.3e})"
         )
-    p = (w * sigma) @ w.T
-    # enforce exact symmetry against round-off, halve, and undo the scaling
-    return np.ldexp(p + p.T, exp - 1), w @ vt, np.ldexp(sigma, exp)
+    return w, sigma, w.dot(vt), exp
+
+
+def _stretch(w: np.ndarray, sigma: np.ndarray, exp: np.intc) -> np.ndarray:
+    """P = 2^exp w diag(sigma) w^T, made exactly symmetric against round-off."""
+    p = (w * sigma).dot(w.T)  # .dot is the BLAS product of @, with less call overhead
+    return np.ldexp(p + p.T, exp - 1)
 
 
 def polar_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -63,7 +69,30 @@ def polar_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     when the smallest singular value of ``a`` is at or below SINGULAR_RTOL
     times the largest.
     """
-    return _polar(a)[:2]
+    w, sigma, u, exp = _factor(np.asarray(a, dtype=float))
+    return _stretch(w, sigma, exp), u
+
+
+def _spectrum(u_orth: np.ndarray) -> tuple[list[float], list[float], float, bool]:
+    """canonical_spectrum without its orthogonality check, then kappa and the verdict.
+
+    kappa = min(cos alpha_j, real eigenvalues, 1); a -1 eigenvalue puts it at -1, so
+    the hypothesis holds when kappa > BOUNDARY_TOL alone.
+    """
+    eigs = np.linalg.eigvals(u_orth)
+    real_eigs, ys, xs = [], [], []
+    for lam in eigs.tolist():
+        # |lam -+ 1| >= |Im lam|: the imaginary part alone clears most eigenvalues of the snap
+        if abs(lam.imag) <= SNAP_TOL and (abs(lam - 1.0) <= SNAP_TOL or abs(lam + 1.0) <= SNAP_TOL):
+            real_eigs.append(1.0 if lam.real > 0.0 else -1.0)
+        elif lam.imag > 0.0:
+            ys.append(lam.imag)
+            xs.append(lam.real)
+    if 2 * len(ys) + len(real_eigs) != u_orth.shape[0]:
+        raise NotOrthogonal(f"eigenvalues {eigs} do not pair into +-1 and conjugate pairs")
+    angles = np.arctan2(ys, xs)
+    kappa = min(np.cos(angles).tolist() + real_eigs + [1.0])
+    return sorted(angles.tolist()), sorted(real_eigs, reverse=True), kappa, kappa > BOUNDARY_TOL
 
 
 def canonical_spectrum(u_orth: np.ndarray) -> tuple[list[float], list[float]]:
@@ -80,19 +109,10 @@ def canonical_spectrum(u_orth: np.ndarray) -> tuple[list[float], list[float]]:
     NotOrthogonal when ||u^T u - I||_F > ORTHO_TOL.
     """
     u_orth = np.asarray(u_orth, dtype=float)
-    n = u_orth.shape[0]
-    defect = np.linalg.norm(u_orth.T @ u_orth - np.eye(n))
+    defect = np.linalg.norm(u_orth.T @ u_orth - np.eye(u_orth.shape[0]))
     if defect > ORTHO_TOL:
         raise NotOrthogonal(f"orthogonality defect {defect:.3e} exceeds {ORTHO_TOL:.0e}")
-    eigs = np.linalg.eigvals(u_orth)
-    real_eigs = [s for lam in eigs for s in (1.0, -1.0) if abs(lam - s) <= SNAP_TOL]
-    angles = [
-        float(np.arctan2(lam.imag, lam.real)) for lam in eigs
-        if lam.imag > 0.0 and min(abs(lam - 1.0), abs(lam + 1.0)) > SNAP_TOL
-    ]
-    if 2 * len(angles) + len(real_eigs) != n:
-        raise NotOrthogonal(f"eigenvalues {eigs} do not pair into +-1 and conjugate pairs")
-    return sorted(angles), sorted(real_eigs, reverse=True)
+    return _spectrum(u_orth)[:2]
 
 
 def check_hypothesis(a: np.ndarray) -> tuple[bool, float]:
@@ -100,8 +120,8 @@ def check_hypothesis(a: np.ndarray) -> tuple[bool, float]:
 
     Returns (ok, margin): FluxTensor.from_matrix(a)'s hypothesis_ok and kappa.
     """
-    flux = FluxTensor.from_matrix(a)
-    return flux.hypothesis_ok, flux.kappa
+    _, _, kappa, ok = _spectrum(_factor(np.asarray(a, dtype=float))[2])
+    return ok, kappa
 
 
 @dataclass(frozen=True)
@@ -132,31 +152,16 @@ class FluxTensor:
         within BOUNDARY_TOL of zero) report not ok: the blow-up machinery is
         not claimed to apply there.
         """
-        a = np.array(a, dtype=float)
-        p, u, sigma = _polar(a)
-        n = a.shape[0]
-        angles, real_eigs = canonical_spectrum(u)
-        kappa = float(min([np.cos(al) for al in angles] + list(real_eigs) + [1.0]))
+        a = np.array(a, dtype=float)  # a private copy, frozen below with p and u
+        w, sigma, u, exp = _factor(a)
+        p = _stretch(w, sigma, exp)
+        for arr in (a, p, u):
+            arr.setflags(write=False)
         # eigenvalues of P^(-1) are reciprocals of the singular values of A
-        lam_min = float(1.0 / sigma[0])
-        lam_max = float(1.0 / sigma[-1])
-        trace_pinv = float(np.sum(1.0 / sigma))
-        ok = all(e > 0.0 for e in real_eigs) and kappa > BOUNDARY_TOL
-        for arr in (a, p, u):  # a is a private copy; p and u are made here
-            arr.flags.writeable = False
-        return cls(
-            a=a,
-            n=n,
-            p=p,
-            u_orth=u,
-            angles=angles,
-            real_eigs=real_eigs,
-            kappa=kappa,
-            lam_min=lam_min,
-            lam_max=lam_max,
-            trace_pinv=trace_pinv,
-            hypothesis_ok=ok,
-        )
+        lam = np.reciprocal(np.ldexp(sigma, exp))
+        inv = lam.tolist()
+        angles, real_eigs, kappa, ok = _spectrum(u)
+        return cls(a, a.shape[0], p, u, angles, real_eigs, kappa, inv[0], inv[-1], float(lam.sum()), ok)
 
     @property
     def p_inv(self) -> np.ndarray:

@@ -48,3 +48,13 @@ def test_config_part_records_each_rejection():
     # the descriptor is built, and checks itself, before the rest of the config
     assert entries["config/mass=-1,cfl=2"] == "parse_config: ConfigInvalid: mass must be positive, got -1.0"
     assert entries["config/file/epsilon=0.5"].startswith("make_initial_data: ")
+
+
+def test_edge_part_holds_every_flux_field_and_the_check_hypothesis_verdict():
+    entries = fingerprint.edge_entries()
+    cases = fingerprint.edge_matrices()
+    assert {"1x1", "8x8/shifted", "rotation/pi+snap", "identity*1e-200"} <= cases.keys()
+    for case in cases:
+        prefix = f"analysis/edge/{case}/"
+        assert entries[prefix + "check_hypothesis"] == [entries[prefix + "hypothesis_ok"], entries[prefix + "kappa"]]
+    assert len(entries) == len(cases) * 12  # 11 FluxTensor fields and the check_hypothesis pair

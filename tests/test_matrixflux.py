@@ -9,6 +9,8 @@ from kstensor.errors import BadParameter, NotOrthogonal, SingularMatrix
 from kstensor.matrixflux import (
     SNAP_TOL,
     FluxTensor,
+    _factor,
+    _spectrum,
     canonical_spectrum,
     check_hypothesis,
     parse_matrix,
@@ -98,6 +100,31 @@ class TestPolarDecompose:
             with pytest.raises(BadParameter, match="finite"):
                 decide(a)
 
+    # the finiteness probe is one abs-max: NaN and inf must propagate through it wherever they
+    # sit, after a larger finite entry too, and finite entries near the float limit must not
+    # overflow it
+    @pytest.mark.parametrize(
+        "row, values",
+        [(3, [1e300, math.nan]), (3, [1e300, math.inf]), (3, [1e300, -math.inf]),
+         (1, [math.nan, math.inf]), (1, [math.inf, math.nan])],
+        ids=["nan-after-1e300", "inf-after-1e300", "-inf-after-1e300", "nan-then-inf", "inf-then-nan"],
+    )
+    def test_non_finite_anywhere_rejected(self, row, values):
+        a = np.eye(4)
+        a[row, 2:] = values
+        for decide in (polar_decompose, FluxTensor.from_matrix, check_hypothesis):
+            with pytest.raises(BadParameter, match="finite"):
+                decide(a)
+
+    def test_entries_near_the_float_limit_accepted(self):
+        a = np.array([[1e308, -1e308], [1e308, 1e308]])  # their abs sum overflows; a is finite
+        p, u = polar_decompose(a)
+        np.testing.assert_allclose(p / 1e308, math.sqrt(2.0) * np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(u, rotation_z(math.pi / 4)[:2, :2], atol=1e-14)
+        flux = FluxTensor.from_matrix(a)
+        assert flux.hypothesis_ok and flux.kappa == pytest.approx(math.sqrt(0.5), rel=1e-14)
+        assert check_hypothesis(a) == (flux.hypothesis_ok, flux.kappa)
+
     @pytest.mark.parametrize("scale", [1e200, 1e-170])
     def test_extreme_scaled_identity(self, scale):
         # the power-of-two prescale maps these exactly onto a unit-scale copy
@@ -183,6 +210,20 @@ class TestCanonicalSpectrum:
             q, _ = np.linalg.qr(rng.standard_normal((n, n)))
             angles, real_eigs = canonical_spectrum(q)
             assert 2 * len(angles) + len(real_eigs) == n
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_internal_path_bitwise_as_public_and_pairing(self, n):
+        # from_matrix and check_hypothesis read the spectrum of the factored U without the
+        # orthogonality re-check; it must give the public call's bits and the pairing's
+        rng = np.random.default_rng(70 + n)
+        for _ in range(40):
+            u = _factor(random_nonsingular(rng, n))[2]
+            angles, real_eigs, kappa, ok = _spectrum(u)
+            for ref in (canonical_spectrum(u), paired_spectrum(u)):
+                assert [t.hex() for t in angles] == [t.hex() for t in ref[0]]
+                assert real_eigs == ref[1]
+            ref_kappa = min([float(np.cos(t)) for t in angles] + real_eigs + [1.0])
+            assert kappa.hex() == ref_kappa.hex() and ok == (kappa > 1e-10)
 
     def test_rejects_non_orthogonal(self):
         with pytest.raises(NotOrthogonal):
@@ -327,6 +368,22 @@ class TestFluxTensor:
             assert np.linalg.norm(flux.u_orth.T @ flux.u_orth - np.eye(3)) <= 1e-12
             assert flux.lam_min == pytest.approx(1.0, rel=1e-12)
             assert flux.lam_max == pytest.approx(cond, rel=1e3 * eps * cond)
+
+    def test_fields_are_python_values_and_check_hypothesis_agrees_bitwise(self):
+        rng = np.random.default_rng(59)
+        for n in range(1, 9):
+            for _ in range(25):
+                a = random_nonsingular(rng, n)
+                flux = FluxTensor.from_matrix(a)
+                assert type(flux.n) is int and type(flux.hypothesis_ok) is bool
+                for name in ("kappa", "lam_min", "lam_max", "trace_pinv"):
+                    assert type(getattr(flux, name)) is float, name
+                for name in ("angles", "real_eigs"):
+                    values = getattr(flux, name)
+                    assert type(values) is list and all(type(x) is float for x in values), name
+                ok, kappa = check_hypothesis(a)
+                assert type(ok) is bool and type(kappa) is float
+                assert (ok, kappa.hex()) == (flux.hypothesis_ok, flux.kappa.hex())
 
     def test_beyond_singular_gate_rejected(self):
         rng = np.random.default_rng(43)

@@ -16,11 +16,15 @@ A fingerprint holds, each under its own entry name:
 * kernels/<n>/<blocks>/...: the potential-only solve, the full solve (`v`, `gx`, `gy` and
   `gz` in one hash) and the step kernels `_drift`, `_advect` and `_diffuse` on a fixed 16^3,
   32^3 and 64^3 state, cut into 1, 2 and 3 blocks with the block floor at one cell;
-* analysis/...: every `FluxTensor` field over the bench's `flux_batch(0)` matrices, every
-  `BlowupVerdict` field of `admissibility` on each passing matrix at m0 = 0 and at the
-  batch's m0, and the (aspect, ratio) samples of `calibrate_cn`. A field of floats is a
-  list of hex strings; any other field (arrays, lists, ints, bools, a `t_upper` that may
-  be None) is the SHA-256 of its encoding over the batch;
+* analysis/...: every `FluxTensor` field and both `check_hypothesis` outputs (`ok`, `kappa`)
+  over the bench's `flux_batch(0)` matrices, every `BlowupVerdict` field of `admissibility` on
+  each passing matrix at m0 = 0 and at the batch's m0, and the (aspect, ratio) samples of
+  `calibrate_cn`. A field of floats is a list of hex strings; any other field (arrays, lists,
+  ints, bools, a `t_upper` that may be None) is the SHA-256 of its encoding over the batch;
+* analysis/edge/<case>/...: every `FluxTensor` field and the `check_hypothesis` outputs, each
+  encoded alone, of matrices the batch never holds: random 1x1, 2x2, 7x7 and 8x8 matrices,
+  each also shifted towards the identity (at 8x8 `np.sum` turns pairwise), reflections,
+  rotations at 0, pi/2 and pi -+ `SNAP_TOL`, and the identity scaled by 1e200 and 1e-200;
 * config/<case>: `ok`, or `<stage>: ExceptionName: message`, of `parse_config` of a fixed config
   text followed by `make_initial_data` of what it parsed: where each bad input is rejected, and how.
 
@@ -222,9 +226,41 @@ def _batch(values: list):
     return _sha(json.dumps(_encode(values)).encode())
 
 
+def edge_matrices() -> dict:
+    """The `analysis/edge` cases: matrices whose paths through matrixflux the batch never takes."""
+    from kstensor.matrixflux import SNAP_TOL, rotation_z
+
+    rng = np.random.default_rng(8)
+    cases = {}
+    for n in (1, 2, 7, 8):  # each size failing and, shifted towards the identity, passing
+        cases[f"{n}x{n}"] = rng.standard_normal((n, n))
+        cases[f"{n}x{n}/shifted"] = cases[f"{n}x{n}"] + 2.0 * math.sqrt(n) * np.eye(n)
+    cases["reflection/3"] = np.diag([1.0, 1.0, -1.0])
+    cases["reflection/4"] = np.diag([1.0, -1.0, 1.0, -1.0])
+    for label, angle in (("0", 0.0), ("pi/2", math.pi / 2), ("pi-snap", math.pi - SNAP_TOL),
+                         ("pi+snap", math.pi + SNAP_TOL)):
+        cases[f"rotation/{label}"] = rotation_z(angle)
+    for scale in (1e200, 1e-200):
+        cases[f"identity*{scale:.0e}"] = scale * np.eye(3)
+    return cases
+
+
+def edge_entries() -> dict:
+    from kstensor.matrixflux import FluxTensor, check_hypothesis
+
+    entries = {}
+    for case, matrix in edge_matrices().items():
+        flux = FluxTensor.from_matrix(matrix)
+        for f in dataclasses.fields(FluxTensor):
+            entries[f"analysis/edge/{case}/{f.name}"] = _encode(getattr(flux, f.name))
+        ok, kappa = check_hypothesis(matrix)
+        entries[f"analysis/edge/{case}/check_hypothesis"] = [ok, _encode(kappa)]
+    return entries
+
+
 def analysis_entries(workloads) -> dict:
     from kstensor import thresholds
-    from kstensor.matrixflux import FluxTensor
+    from kstensor.matrixflux import FluxTensor, check_hypothesis
 
     cases = workloads.flux_batch(0)
     fluxes = [FluxTensor.from_matrix(case.matrix) for case in cases]
@@ -232,6 +268,9 @@ def analysis_entries(workloads) -> dict:
         f"analysis/flux/{f.name}": _batch([getattr(flux, f.name) for flux in fluxes])
         for f in dataclasses.fields(FluxTensor)
     }
+    verdicts = [check_hypothesis(case.matrix) for case in cases]
+    entries["analysis/check_hypothesis/ok"] = _batch([ok for ok, _ in verdicts])
+    entries["analysis/check_hypothesis/kappa"] = _batch([kappa for _, kappa in verdicts])
     passing = [(case, flux) for case, flux in zip(cases, fluxes) if flux.hypothesis_ok]
     for label in ("m0=0", "m0"):
         verdicts = [
@@ -272,6 +311,7 @@ def fingerprint(tree: str) -> dict:
     entries.update(collapse64_entries(workloads))
     entries.update(heat64_entries(workloads))
     entries.update(analysis_entries(workloads))
+    entries.update(edge_entries())
     entries.update(config_entries())
     for n in KERNEL_SIZES:
         for blocks in KERNEL_BLOCKS:
