@@ -7,10 +7,12 @@ convolution with the kernel K(x) = 1/(4 pi |x|):
   doubled per axis, so the periodic product realizes the free-space sum exactly
   on the original box). The padded spectrum is never formed: after the z and y
   passes, slabs of ky rows are padded along x, transformed, multiplied by each
-  real kernel table and transformed back, in lanes sharing a fixed buffer, with
-  the same bits for any count. The tables come from one octant by DCT-I/DST-I
-  (rffts of its even and odd extensions) once per n_cells, free of the grid
-  spacing, which enters as one scalar per inverse;
+  real kernel table and transformed back, in lanes sharing a fixed buffer. The
+  y inverse then keeps ky rows [0, n), and their z inverse is written into the
+  rows it dropped. Every pass runs in the step kernels' blocks of x rows (the x
+  pass in as many lanes), with the same bits for any count. The tables come
+  from one octant by DCT-I/DST-I (rffts of its even and odd extensions) once
+  per n_cells, free of the grid spacing, which enters as one scalar per inverse;
 * direct path: O(N^2) double sum, an independent oracle for the fast path,
   visiting each pair of cells once over a table of the (2n-1)^3 integer
   displacements.
@@ -55,7 +57,7 @@ DIRECT_MAX_CELLS = 24  # cost guard for the O(N^2) oracle
 # threshold, and later calls then leave their blocks resident on the heap
 _BLOCK_PAIRS = 1 << 17
 FAST_MIN_CELLS = 16
-_SLAB_ROWS = 16  # ky rows per slab buffer, over all lanes of the x pass: 0.5 MB at 32^3
+_SLAB_ROWS = 8  # ky rows per slab buffer, over all lanes of the x pass: 0.25 MB each at 32^3
 
 _BLOCKS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _MIN_BLOCK_CELLS = 1 << 15  # cells per step-kernel block: 32^3 runs in one block, 64^3 in two+
@@ -73,8 +75,9 @@ def _in_blocks(task, n: int, blocks: int, *args) -> list:
 
     The first block runs on the caller, the rest on the pool. A task writes only its block,
     by the same operations per element as one block, and never calls this helper. Every call
-    takes `_step_blocks` blocks, one below the floor; a solve's x pass takes at most _SLAB_ROWS.
-    A step kernel cuts rows along axis 0, its tasks reading read-only halo rows across each cut.
+    takes `_step_blocks` blocks, one below the floor; a solve's x pass takes at most _SLAB_ROWS
+    lanes. A step kernel and a solve's z/y forward and y/z inverses cut x rows, the step
+    kernels' tasks reading read-only halo rows across each cut.
     """
     cuts = sorted({n * b // blocks for b in range(blocks + 1)})  # no empty block
     rest = [_pool(os.getpid()).submit(task, *lohi, *args) for lohi in zip(cuts[1:-1], cuts[2:])]
@@ -277,7 +280,7 @@ def _x_pass(start: int, stop: int, half: np.ndarray, tables: list, outs: list, b
     """x transform of the ky rows of lanes [start, stop) of len(bufs), zero-padded, a slab at a
     time in bufs[start]; each table's product is inverted along x and cropped into its output."""
     n, lanes = half.shape[0], len(bufs)
-    spec_buf, prod_buf = bufs[start, 0], bufs[start, -1]
+    spec_buf, prod_buf = bufs[start]
     first, last = 2 * n * start // lanes, 2 * n * stop // lanes
     for j in range(first, last, spec_buf.shape[1]):
         k = min(j + spec_buf.shape[1], last)
@@ -286,17 +289,37 @@ def _x_pass(start: int, stop: int, half: np.ndarray, tables: list, outs: list, b
         spec[n:] = 0.0
         np.fft.fft(spec, axis=0, out=spec)
         for (lo, hi), out in zip(tables, outs):
-            # rows kx in [0, n] meet a table's lo, rows kx in [n+1, 2n) its hi
-            np.multiply(spec[: n + 1], lo[:, j:k], out=prod[: n + 1])
-            np.multiply(spec[n + 1 :], hi[:, j:k], out=prod[n + 1 :])
+            # rows kx in [0, n] meet a table's lo, rows kx in [n+1, 2n) its hi, cast to complex
+            # by copy: a complex-by-real product would take a cast buffer per lane running at once
+            prod[: n + 1], prod[n + 1 :] = lo[:, j:k], hi[:, j:k]
+            np.multiply(spec, prod, out=prod)
             out[:, j:k] = np.fft.ifft(prod, axis=0, out=prod)[:n]
 
 
-def _inverse_yz(spec: np.ndarray, n: int, scale: complex) -> np.ndarray:
-    """First octant of the y and z inverse of `spec`, scaled after the y crop; consumes `spec`."""
-    out = np.fft.ifft(spec, axis=1, out=spec)[:, :n]
-    out *= scale
-    return np.fft.irfft(out, n=2 * n, axis=2)[:, :, :n]
+def _forward_rows(lo: int, hi: int, values: np.ndarray, half: np.ndarray) -> None:
+    """z and y transforms of x rows [lo, hi) of `values` into `half`, padded along y by hand."""
+    n, rows = len(values), half[lo:hi]
+    np.fft.rfft(values[lo:hi], n=2 * n, axis=2, out=rows[:, :n])
+    rows[:, n:] = 0.0
+    np.fft.fft(rows, axis=1, out=rows)
+
+
+def _inverse_rows(lo: int, hi: int, spec: np.ndarray, scale: complex) -> None:
+    """y inverse of x rows [lo, hi) of `spec`, scaled after the y crop; the z inverse of the kept
+    ky rows [0, n) goes by out= into the real view of ky rows [n, 2n), which the crop freed."""
+    n, rows = len(spec), spec[lo:hi]
+    np.fft.ifft(rows, axis=1, out=rows)
+    rows[:, :n] *= scale
+    np.fft.irfft(rows[:, :n], n=2 * n, axis=2, out=rows[:, n:].view(float)[:, :, : 2 * n])
+
+
+def _inverse_yz(spec: np.ndarray, scale: complex, blocks: int) -> np.ndarray:
+    """First octant of the y and z inverse of `spec`, scaled after the y crop: a view into `spec`,
+    which it consumes. The caller adds it in one strided add: in the blocks, each add would hold
+    a ufunc buffer of its own."""
+    n = len(spec)
+    _in_blocks(_inverse_rows, n, blocks, spec, scale)
+    return spec[:, n:].view(float)[:, :, :n]
 
 
 def _centered(u: np.ndarray, ax: int, h: float, d: np.ndarray | None = None,
@@ -319,27 +342,26 @@ def _solve_fast(u: DensityField, with_gradient: bool = True):
     if n < FAST_MIN_CELLS:
         raise GridTooSmall(f"n_cells = {n} < {FAST_MIN_CELLS}")
     tab = _tables_for(n)
-    # z and y transforms of the n x rows that hold data, padded along y by hand for the in-place y fft
-    half = np.zeros((n, 2 * n, n + 1), dtype=complex)
-    half[:, :n] = np.fft.rfft(u.values, n=2 * n, axis=2)
-    np.fft.fft(half, axis=1, out=half)
+    # every pass in the step kernels' blocks: the z and y transforms of the n x rows that hold data
+    blocks = _step_blocks(n ** 3)
+    half = np.empty((n, 2 * n, n + 1), dtype=complex)
+    _in_blocks(_forward_rows, n, blocks, u.values, half)
     # per call, so concurrent solves share nothing; the slab buffers come from this thread's heap
-    # (a pool thread's arena keeps freed memory resident). A lane per step-kernel block, all
-    # sharing _SLAB_ROWS
+    # (a pool thread's arena keeps freed memory resident). A lane per block, all sharing _SLAB_ROWS
     tables = [*(tab.g_hat if with_gradient else []), tab.k_hat]
     specs = [np.empty_like(half) for _ in tables[1:]]
-    lanes = min(_step_blocks(n ** 3), _SLAB_ROWS)
-    shape = (lanes, min(len(tables), 2), 2 * n, _SLAB_ROWS // lanes, n + 1)
+    lanes = min(blocks, _SLAB_ROWS)
+    shape = (lanes, 2, 2 * n, _SLAB_ROWS // lanes, n + 1)
     _in_blocks(_x_pass, lanes, lanes, half, tables, specs + [half], np.empty(shape, dtype=complex))
     # cell volume h^3 times the unit tables' 1/h (K) and i/h^2 (grad K); the
     # defect correction is the left operand, so the results are contiguous
     grads = []
     for ax in range(len(specs)):
         g = (_G_CORRECTION * h * h) * _centered(u.values, ax, h)
-        g += _inverse_yz(specs.pop(0), n, 1j * h)  # each spectrum freed once inverted
+        g += _inverse_yz(specs.pop(0), 1j * h, blocks)  # each spectrum freed once inverted
         grads.append(g)
     v = (_V_CORRECTION * h * h) * u.values
-    v += _inverse_yz(half, n, h * h)
+    v += _inverse_yz(half, h * h, blocks)
     return v, *grads
 
 

@@ -342,7 +342,7 @@ def run(config: SimConfig) -> SimOutcome:
     records: list[DiagnosticsRecord] = []
     pending_snapshots = sorted(config.snapshot_times)
     t = 0.0
-    dt = config.dt_max
+    dt, limit = config.dt_max, "dt_max"
     status = "CompletedToTEnd"
     message = ""
     min_density = u.min_value
@@ -360,16 +360,18 @@ def run(config: SimConfig) -> SimOutcome:
         pot = solve_potential_fast(state)
         records.append(compute_record(state, flux, config.chi, at, pot=pot))
         _lap("record")
+        logger.info("record %d: step %d, t=%.6g, dt=%.3e (%s), growth %.3fx, %.3f s", len(records) - 1,
+                    len(dts), at, dt, limit, state.max_value / sup0, sum(phase_s.values()))
         return pot.v
 
     if config.output_dir:
         os.makedirs(config.output_dir, exist_ok=True)
-    # the potential of the state last recorded; the next drift reuses it
-    v = _record(u, t)
     logger.info(
         "run start: %d^3 grid, h=%.4g, chi=%.6g, sup0=%.6g, mass=%.12g, %d row blocks",
         grid.n_cells, h, config.chi, sup0, u.mass, _step_blocks(grid.n_cells ** 3),
     )
+    # the potential of the state last recorded; the next drift reuses it
+    v = _record(u, t)
 
     while t < config.t_end:
         if v is None and config.chi != 0.0:

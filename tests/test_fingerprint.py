@@ -18,6 +18,12 @@ def test_kernels_at_16_cubed_give_the_same_bits_for_one_and_three_blocks():
     assert one == three
 
 
+def test_kernel_part_also_cuts_64_cubed_as_8_and_16_cpus_would():
+    assert fingerprint.KERNEL_CUTS == [
+        (16, 1), (16, 2), (16, 3), (32, 1), (32, 2), (32, 3), (64, 1), (64, 2), (64, 3), (64, 8), (64, 16),
+    ]
+
+
 def test_diff_names_each_differing_entry():
     a = {"same": "0x1.0p+0", "float": "0x1.0p+0", "column": ["0x1.0p+0", "0x1.0p+1"],
          "hash": "sha256:0", "gone": 1}

@@ -268,8 +268,8 @@ class TestOracleEquivalence:
         assert peak <= 14 * u.values.nbytes
 
     def test_potential_only_solve_peak_memory_below_9_grids(self):
-        # the (n, 2n, n+1) half spectrum, the z transform's padded input and
-        # output, or half plus 16 ky rows of slab buffer; never (2n, 2n, n+1)
+        # the (n, 2n, n+1) half spectrum and v, or half plus two buffers of 8 ky rows for the
+        # x pass; never (2n, 2n, n+1)
         u = gaussian_field(Grid3(32, 2.0), sigma=0.4)
         potential._tables_for(32)
         tracemalloc.start()
@@ -290,8 +290,8 @@ class TestOracleEquivalence:
         self.test_potential_only_solve_peak_memory_below_9_grids()
 
     def test_peak_memory_does_not_grow_with_cpu_count(self, cpus):
-        # at 64^3 the x pass runs 2 lanes on 2 CPUs and 16 on 16, sharing 16 ky rows per slab
-        # buffer; more lanes add only numpy's 128 KB cast buffer each, 1/16 of a grid array
+        # at 64^3 the x pass runs 2 lanes on 2 CPUs and 8 on 16, sharing 8 ky rows per slab
+        # buffer, and the FFT passes 2 and 16 blocks; no pass takes a ufunc buffer per block
         u = gaussian_field(Grid3(64, 2.0), sigma=0.4)
         potential._tables_for(64)
         peaks = {}
@@ -306,6 +306,23 @@ class TestOracleEquivalence:
                     tracemalloc.stop()
         for solve in (solve_potential_v, solve_potential_fast):
             assert peaks[solve, 16] - peaks[solve, 2] <= 0.25 * u.values.nbytes
+
+    @pytest.mark.parametrize("blocks", [None, 16])  # this host's block count, then 16 CPUs'
+    def test_potential_only_solve_at_64_peaks_below_6_grids(self, cpus, blocks):
+        # the (n, 2n, n+1) half spectrum with v, or with the x pass's two 8-row slab buffers: the
+        # z rfft writes into half, and the z inverse into half's ky rows [n, 2n), freed by the y
+        # crop, so no (n, n, 2n) array is made
+        if blocks:
+            cpus(blocks)
+        u = gaussian_field(Grid3(64, 2.0), sigma=0.4)
+        potential._tables_for(64)
+        tracemalloc.start()
+        try:
+            solve_potential_v(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * u.values.nbytes
 
 class TestDirectBlocks:
     # the O(N^2) oracle runs in bounded row blocks with buffers reused

@@ -489,6 +489,29 @@ class TestRun:
         assert f"{potential._step_blocks(cfg.n_cells ** 3)} row blocks" in messages[0]
         assert f"dt_median={stats['dt_median']:.3e}" in messages[-1]
 
+    def test_verbose_logs_one_line_per_record(self, caplog):
+        cfg = small_config(
+            chi=200.0, n_cells=16, half_width=6.0, t_end=0.05, dt_max=1.0, diagnostics_every=1,
+            initial=InitialData(kind="gaussian", mass=1.0, sigma=(0.5,) * 3),
+        )
+        with caplog.at_level(logging.INFO, logger="kstensor.solver"):
+            out = run(cfg)
+        pattern = re.compile(
+            r"record (\d+): step (\d+), t=(\S+), dt=(\S+) \((dt_max|rate|land)\), growth (\S+)x, (\S+) s")
+        lines = [pattern.fullmatch(r.getMessage()) for r in caplog.records
+                 if r.name == "kstensor.solver" and r.getMessage().startswith("record ")]
+        assert len(lines) == len(out.records) == 3 and all(lines)  # dt set by dt_max, rate, land
+        for i, (line, rec) in enumerate(zip(lines, out.records)):
+            assert int(line[1]) == i and line[3] == f"{rec.t:.6g}"
+        # before a step the line shows dt_max, the cap; the last shows the outcome's figures
+        assert lines[0].groups()[1:6] == ("0", "0", f"{cfg.dt_max:.3e}", "dt_max", "1.000")
+        assert lines[1][2] == "1" and lines[1][5] == "rate"
+        last = lines[-1].groups()
+        assert last[1:6] == (str(out.steps), f"{out.t_final:.6g}", f"{out.dt_at_stop:.3e}", "land",
+                             f"{out.sup_growth_factor:.3f}")
+        walls = [float(line[7]) for line in lines]
+        assert walls == sorted(walls) and last[6] == f"{sum(out.phase_s.values()):.3f}"
+
     def test_no_dt_stats_without_a_step(self, tmp_path):
         cfg = small_config(chi=1e4, half_width=6.0, dt_min=1e-3, output_dir=str(tmp_path))
         out = run(cfg)
@@ -808,10 +831,10 @@ def short_run(chi=30.0, matrix=np.eye(3)):
 class TestRowBlocks:
     """The passes between the FFTs give the same bits for any block count.
 
-    A solve's x pass takes as many lanes as the step kernels take blocks, at most 16. The size
+    A solve's x pass takes as many lanes as the step kernels take blocks, at most 8. The size
     floor is one cell here, so 3 blocks cut a 16^3 grid's cells 5/5/6 and its x pass's 32
     spectrum rows into lanes of 10/11/11; at 64^3 the 128 rows into lanes of 42/43/43, each
-    walked in slabs of 5 rows with a short last slab. 40 blocks give the step kernels one row
+    walked in slabs of 2 rows with a short last slab. 40 blocks give the step kernels one row
     each, so that every row reads its halo rows across a cut.
     """
 
@@ -850,8 +873,8 @@ class TestRowBlocks:
         want = self.with_blocks(monkeypatch, 1, diffuse)
         np.testing.assert_array_equal(self.with_blocks(monkeypatch, blocks, diffuse), want)
 
-    # with the floor at one cell the x pass runs min(blocks, 16) lanes at every size: 2 in
-    # slabs of 8 rows, 3 of 5, 5 of 3 and 16 of 1, against one lane in slabs of 16
+    # with the floor at one cell the x pass runs min(blocks, 8) lanes at every size: 2 in
+    # slabs of 4 rows, 3 of 2, 5 and 8 of 1, against one lane in slabs of 8
     @pytest.mark.parametrize("n", [16, 32, 64])
     @pytest.mark.parametrize("blocks", [2, 3, 5, 40])
     def test_solves(self, monkeypatch, n, blocks):
@@ -883,6 +906,28 @@ class TestRowBlocks:
         sv.solve_potential_v(u)
         want = min(potential._step_blocks(n ** 3), potential._SLAB_ROWS)
         assert handed == [want, want] == [{16: 1, 32: 1, 64: blocks}[n]] * 2
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("blocks", [2, 4])
+    def test_fft_passes_take_the_step_kernels_block_count(self, monkeypatch, n, blocks):
+        # the z/y forward and each y/z inverse cut the n x rows: one block at 16^3 and 32^3, one
+        # per CPU at 64^3; a full solve inverts four spectra, a potential-only solve one
+        handed, in_blocks = [], potential._in_blocks
+
+        def recorder(task, *args):
+            if task is not potential._x_pass:
+                handed.append((task.__name__, args[0], args[1]))
+            return in_blocks(task, *args)
+
+        monkeypatch.setattr(potential, "_BLOCKS", blocks)
+        monkeypatch.setattr(potential, "_in_blocks", recorder)
+        u = perturbed_field(n)
+        sv.solve_potential_fast(u)
+        sv.solve_potential_v(u)
+        want = potential._step_blocks(n ** 3)
+        assert want == {16: 1, 32: 1, 64: blocks}[n]
+        passes = ["_forward_rows", *["_inverse_rows"] * 4, "_forward_rows", "_inverse_rows"]
+        assert handed == [(name, n, want) for name in passes]
 
     @FACE_MATRICES
     @pytest.mark.parametrize("blocks", [2, 3])

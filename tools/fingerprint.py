@@ -15,7 +15,8 @@ A fingerprint holds, each under its own entry name:
   lines);
 * kernels/<n>/<blocks>/...: the potential-only solve, the full solve (`v`, `gx`, `gy` and
   `gz` in one hash) and the step kernels `_drift`, `_advect` and `_diffuse` on a fixed 16^3,
-  32^3 and 64^3 state, cut into 1, 2 and 3 blocks with the block floor at one cell;
+  32^3 and 64^3 state, cut into 1, 2 and 3 blocks with the block floor at one cell, and the
+  64^3 state also into 8 and 16, the cuts of an 8- and a 16-CPU host;
 * analysis/...: every `FluxTensor` field and both `check_hypothesis` outputs (`ok`, `kappa`)
   over the bench's `flux_batch(0)` matrices, every `BlowupVerdict` field of `admissibility` on
   each passing matrix at m0 = 0 and at the batch's m0, and the (aspect, ratio) samples of
@@ -51,8 +52,8 @@ import time
 
 import numpy as np
 
-KERNEL_SIZES = (16, 32, 64)
-KERNEL_BLOCKS = (1, 2, 3)
+# (n, blocks) of the kernels/ part
+KERNEL_CUTS = [(n, blocks) for n in (16, 32, 64) for blocks in (1, 2, 3)] + [(64, 8), (64, 16)]
 # a non-normal flux matrix that fails the hypothesis: its drift fills every face speed
 KERNEL_MATRIX = ((1.0, 0.5, 0.2), (-0.7, 1.0, 0.1), (0.05, -0.3, -0.9))
 KERNEL_CHI = 5.0
@@ -313,10 +314,9 @@ def fingerprint(tree: str) -> dict:
     entries.update(analysis_entries(workloads))
     entries.update(edge_entries())
     entries.update(config_entries())
-    for n in KERNEL_SIZES:
-        for blocks in KERNEL_BLOCKS:
-            kernels = kernel_entries(n, blocks)
-            entries.update({f"kernels/{n}/{blocks}/{k}": e for k, e in kernels.items()})
+    for n, blocks in KERNEL_CUTS:
+        kernels = kernel_entries(n, blocks)
+        entries.update({f"kernels/{n}/{blocks}/{k}": e for k, e in kernels.items()})
     return entries
 
 
