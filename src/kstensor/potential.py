@@ -277,23 +277,21 @@ def _tables_for(n: int) -> _KernelTables:
 
 
 def _x_pass(start: int, stop: int, half: np.ndarray, tables: list, outs: list, bufs: np.ndarray) -> None:
-    """x transform of the ky rows of lanes [start, stop) of len(bufs), zero-padded, a slab at a
-    time in bufs[start]; each table's product is inverted along x and cropped into its output."""
-    n, lanes = half.shape[0], len(bufs)
-    spec_buf, prod_buf = bufs[start]
-    first, last = 2 * n * start // lanes, 2 * n * stop // lanes
-    for j in range(first, last, spec_buf.shape[1]):
-        k = min(j + spec_buf.shape[1], last)
-        spec, prod = spec_buf[:, : k - j], prod_buf[:, : k - j]
-        spec[:n] = half[:, j:k]
+    """x transform of the ky rows of lanes [start, stop) of len(bufs), zero-padded, a whole slab of
+    w rows at a time in bufs[start]; each table's product is inverted along x and cropped into its
+    output. w and 2n are powers of two, so the lanes split the 2n / w slabs at whole slabs."""
+    n, lanes, w = half.shape[0], len(bufs), bufs.shape[3]
+    spec, prod = bufs[start]
+    for j in range(w * (2 * n // w * start // lanes), w * (2 * n // w * stop // lanes), w):
+        spec[:n] = half[:, j : j + w]
         spec[n:] = 0.0
         np.fft.fft(spec, axis=0, out=spec)
         for (lo, hi), out in zip(tables, outs):
             # rows kx in [0, n] meet a table's lo, rows kx in [n+1, 2n) its hi, cast to complex
             # by copy: a complex-by-real product would take a cast buffer per lane running at once
-            prod[: n + 1], prod[n + 1 :] = lo[:, j:k], hi[:, j:k]
+            prod[: n + 1], prod[n + 1 :] = lo[:, j : j + w], hi[:, j : j + w]
             np.multiply(spec, prod, out=prod)
-            out[:, j:k] = np.fft.ifft(prod, axis=0, out=prod)[:n]
+            out[:, j : j + w] = np.fft.ifft(prod, axis=0, out=prod)[:n]
 
 
 def _forward_rows(lo: int, hi: int, values: np.ndarray, half: np.ndarray) -> None:

@@ -5,6 +5,7 @@ Each test prints a single `ACCEPTANCE <k> <PASS|FAIL>` line (run pytest with
 session via module fixtures; their wall-clock budgets are asserted.
 """
 
+import dataclasses
 import math
 import time
 
@@ -215,6 +216,18 @@ def test_blowup_ends_inside_its_certificate(blowup_outcome, global_outcome):
     blowup, global_ = verdicts
     assert blowup.admissible and blowup_outcome[0].t_final < blowup.t_upper
     assert not global_.admissible
+
+
+def test_blowup_verdict_holds_at_32_cubed(blowup_outcome):
+    # the preset's t_final is a figure of its 64^3 grid; what refinement keeps is the verdict,
+    # inside the same certificate, and the coarser grid's numerical diffusion slows the collapse
+    config = dataclasses.replace(blowup_outcome[2], n_cells=32)
+    outcome = run(config)
+    u0 = make_initial_data(config.initial, config.grid)
+    flux = FluxTensor.from_matrix(config.matrix)
+    verdict = th.admissibility(fn.second_moment(u0), u0.mass, flux, config.chi, 3)
+    assert outcome.status == "NumericalBlowup"
+    assert blowup_outcome[0].t_final < outcome.t_final < verdict.t_upper
 
 
 def test_criterion_7_conservation_and_positivity(

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from kstensor.potential import (
     solve_potential_fast,
 )
 from kstensor.verify import density_suite
+from traced_peak import traced_peak
 
 
 def gaussian_field(grid, mass=1.0, sigma=1.0, center=(0.0, 0.0, 0.0)):
@@ -146,12 +146,7 @@ class TestMomentMatrices:
         u = gaussian_field(Grid3(32, 4.0), sigma=0.8)
         flux = FluxTensor.from_matrix(rotation_z(math.pi / 4))
         pot = solve_potential_fast(u)
-        tracemalloc.start()
-        try:
-            fn.compute_record(u, flux, 1.0, 0.0, pot=pot)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: fn.compute_record(u, flux, 1.0, 0.0, pot=pot))
         assert peak < 3 * u.values.nbytes
 
     @pytest.mark.parametrize(
@@ -254,12 +249,7 @@ class TestMomentRhs:
         # fixed-size row blocks: the working set does not grow with the support
         u = DensityField(Grid3(16, 2.0), np.random.default_rng(0).random((16, 16, 16)) + 0.1)
         flux = FluxTensor.from_matrix(rotation_z(math.pi / 4))
-        tracemalloc.start()
-        try:
-            fn.interaction_symmetrized_direct(u, flux.u_orth)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: fn.interaction_symmetrized_direct(u, flux.u_orth))
         assert peak < 16 * 2**20
 
     def test_symmetrized_small_blocks_match_default(self, monkeypatch):
@@ -419,13 +409,7 @@ class TestLqNorm:
     def test_peak_memory_one_grid(self):
         # the scaled field is raised to q in place: one grid temporary
         u = gaussian_field(Grid3(32, 4.0), sigma=0.8)
-        tracemalloc.start()
-        try:
-            fn.lq_norm(u, 1.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * u.values.nbytes
+        assert traced_peak(lambda: fn.lq_norm(u, 1.5))[1] < 1.5 * u.values.nbytes
 
 
 class TestNonFinite:

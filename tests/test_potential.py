@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -27,6 +26,7 @@ from kstensor.potential import (
     solve_potential_gradient,
     solve_potential_v,
 )
+from traced_peak import traced_peak
 
 
 def gaussian_field(grid, mass=1.0, sigma=1.0, center=(0.0, 0.0, 0.0)):
@@ -122,12 +122,7 @@ class TestSamplers:
         np.testing.assert_array_equal(self.grid.radius_squared(), x**2 + y**2 + z**2)
 
     def test_gaussian_peak_memory_below_three_grids(self):
-        tracemalloc.start()
-        try:
-            vals = gaussian_values(self.grid, 1.0, (0.5, 0.7, 1.0), (0.8, 0, 0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        vals, peak = traced_peak(lambda: gaussian_values(self.grid, 1.0, (0.5, 0.7, 1.0), (0.8, 0, 0)))
         assert peak < 3 * vals.nbytes
 
 
@@ -247,46 +242,20 @@ class TestOracleEquivalence:
         # through its own gradient convolution, not through all three
         u = gaussian_field(Grid3(32, 2.0), sigma=0.4)
         potential._tables_for(32)  # the cached tables are not the solve's
-        tracemalloc.start()
-        try:
-            solve_potential_fast(u)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 24 * u.values.nbytes
-
-    def test_potential_only_solve_peak_memory_below_14_grids(self):
-        # one padded spectrum: the potential's product overwrites it in place
-        u = gaussian_field(Grid3(32, 2.0), sigma=0.4)
-        potential._tables_for(32)
-        tracemalloc.start()
-        try:
-            solve_potential_v(u)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 14 * u.values.nbytes
+        assert traced_peak(lambda: solve_potential_fast(u))[1] <= 24 * u.values.nbytes
 
     def test_potential_only_solve_peak_memory_below_9_grids(self):
         # the (n, 2n, n+1) half spectrum and v, or half plus two buffers of 8 ky rows for the
         # x pass; never (2n, 2n, n+1)
         u = gaussian_field(Grid3(32, 2.0), sigma=0.4)
         potential._tables_for(32)
-        tracemalloc.start()
-        try:
-            solve_potential_v(u)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 9 * u.values.nbytes
-
+        assert traced_peak(lambda: solve_potential_v(u))[1] <= 9 * u.values.nbytes
 
     @pytest.mark.parametrize("blocks", [4, 8, 16])
     def test_peak_memory_bounds_hold_for_any_cpu_count(self, cpus, blocks):
         # the x pass's lanes share one slab budget, so a pool thread per CPU adds no buffer
         cpus(blocks)
         self.test_fast_solve_peak_memory_below_24_grids()
-        self.test_potential_only_solve_peak_memory_below_14_grids()
         self.test_potential_only_solve_peak_memory_below_9_grids()
 
     def test_peak_memory_does_not_grow_with_cpu_count(self, cpus):
@@ -298,12 +267,7 @@ class TestOracleEquivalence:
         for blocks in (2, 16):
             cpus(blocks)
             for solve in (solve_potential_v, solve_potential_fast):
-                tracemalloc.start()
-                try:
-                    solve(u)
-                    peaks[solve, blocks] = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
+                peaks[solve, blocks] = traced_peak(lambda: solve(u))[1]
         for solve in (solve_potential_v, solve_potential_fast):
             assert peaks[solve, 16] - peaks[solve, 2] <= 0.25 * u.values.nbytes
 
@@ -316,13 +280,8 @@ class TestOracleEquivalence:
             cpus(blocks)
         u = gaussian_field(Grid3(64, 2.0), sigma=0.4)
         potential._tables_for(64)
-        tracemalloc.start()
-        try:
-            solve_potential_v(u)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 6 * u.values.nbytes
+        assert traced_peak(lambda: solve_potential_v(u))[1] < 6 * u.values.nbytes
+
 
 class TestDirectBlocks:
     # the O(N^2) oracle runs in bounded row blocks with buffers reused
@@ -330,13 +289,7 @@ class TestDirectBlocks:
 
     def test_peak_memory_below_16mb(self):
         u = DensityField(Grid3(16, 2.0), np.random.default_rng(0).random((16, 16, 16)))
-        tracemalloc.start()
-        try:
-            solve_potential_direct(u)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert traced_peak(lambda: solve_potential_direct(u))[1] < 16 * 2**20
 
     def test_small_blocks_match_default(self, monkeypatch):
         u = DensityField(Grid3(16, 2.0), np.random.default_rng(1).random((16, 16, 16)))
@@ -566,12 +519,7 @@ class TestKernelTables:
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(got))
 
     def test_build_peak_memory_below_40mb(self):
-        tracemalloc.start()
-        try:
-            tab = potential._KernelTables(64)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        tab, peak = traced_peak(lambda: potential._KernelTables(64))
         assert peak < 40 * 2**20
         assert tab.nbytes <= 24e6
 

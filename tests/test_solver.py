@@ -5,7 +5,6 @@ import os
 import re
 import sys
 import threading
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, fields, replace
 from pathlib import Path
@@ -30,6 +29,7 @@ from kstensor.solver import (
     run,
     step,
 )
+from traced_peak import traced_peak
 
 IDENTITY = FluxTensor.from_matrix(np.eye(3))
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
@@ -523,12 +523,7 @@ class TestRun:
         # face speeds are freed, not beside them
         cfg = small_config(chi=50.0, half_width=6.0, t_end=0.02, dt_max=0.005, diagnostics_every=2)
         run(cfg)  # the kernel tables are cached outside the measurement
-        tracemalloc.start()
-        try:
-            out = run(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(lambda: run(cfg))
         assert out.steps == 4 and len(out.records) == 3
         assert peak <= 25 * 8 * 32**3
 
@@ -832,10 +827,10 @@ class TestRowBlocks:
     """The passes between the FFTs give the same bits for any block count.
 
     A solve's x pass takes as many lanes as the step kernels take blocks, at most 8. The size
-    floor is one cell here, so 3 blocks cut a 16^3 grid's cells 5/5/6 and its x pass's 32
-    spectrum rows into lanes of 10/11/11; at 64^3 the 128 rows into lanes of 42/43/43, each
-    walked in slabs of 2 rows with a short last slab. 40 blocks give the step kernels one row
-    each, so that every row reads its halo rows across a cut.
+    floor is one cell here, so 3 blocks cut a 16^3 grid's cells 5/5/6 and its x pass's 16
+    slabs of 2 spectrum rows into lanes of 5/5/6 slabs; at 64^3 the 64 slabs into 21/21/22.
+    40 blocks give the step kernels one row each, so that every row reads its halo rows across
+    a cut.
     """
 
     @staticmethod
@@ -890,33 +885,14 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("n", [16, 32, 64])
     @pytest.mark.parametrize("blocks", [2, 4])
-    def test_x_pass_takes_the_step_kernels_block_count(self, monkeypatch, n, blocks):
-        # at the default floor: one lane at 16^3 and 32^3, one per CPU at 64^3
-        handed, in_blocks = [], potential._in_blocks
-
-        def recorder(task, *args):
-            if task is potential._x_pass:
-                handed.append(args[1])
-            return in_blocks(task, *args)
-
-        monkeypatch.setattr(potential, "_BLOCKS", blocks)
-        monkeypatch.setattr(potential, "_in_blocks", recorder)
-        u = perturbed_field(n)
-        sv.solve_potential_fast(u)
-        sv.solve_potential_v(u)
-        want = min(potential._step_blocks(n ** 3), potential._SLAB_ROWS)
-        assert handed == [want, want] == [{16: 1, 32: 1, 64: blocks}[n]] * 2
-
-    @pytest.mark.parametrize("n", [16, 32, 64])
-    @pytest.mark.parametrize("blocks", [2, 4])
     def test_fft_passes_take_the_step_kernels_block_count(self, monkeypatch, n, blocks):
-        # the z/y forward and each y/z inverse cut the n x rows: one block at 16^3 and 32^3, one
-        # per CPU at 64^3; a full solve inverts four spectra, a potential-only solve one
+        # at the default floor: one block at 16^3 and 32^3, one per CPU at 64^3. The z/y forward
+        # and each y/z inverse cut the n x rows, the x pass as many lanes; a full solve inverts
+        # four spectra, a potential-only solve one
         handed, in_blocks = [], potential._in_blocks
 
         def recorder(task, *args):
-            if task is not potential._x_pass:
-                handed.append((task.__name__, args[0], args[1]))
+            handed.append((task.__name__, args[0], args[1]))
             return in_blocks(task, *args)
 
         monkeypatch.setattr(potential, "_BLOCKS", blocks)
@@ -926,8 +902,26 @@ class TestRowBlocks:
         sv.solve_potential_v(u)
         want = potential._step_blocks(n ** 3)
         assert want == {16: 1, 32: 1, 64: blocks}[n]
-        passes = ["_forward_rows", *["_inverse_rows"] * 4, "_forward_rows", "_inverse_rows"]
-        assert handed == [(name, n, want) for name in passes]
+        forward, x, inverse = ("_forward_rows", n, want), ("_x_pass", want, want), ("_inverse_rows", n, want)
+        assert handed == [forward, x, *[inverse] * 4, forward, x, inverse]
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("blocks", range(1, 9))
+    def test_x_pass_hands_each_lane_whole_contiguous_slabs(self, monkeypatch, cpus, n, blocks):
+        # each x-pass lane transforms its full (2n, 8 // lanes, n+1) slab buffer, never a short
+        # view of it: 3 lanes take 2-row slabs, 10/10/12 rows at 16^3 and 42/42/44 at 64^3
+        operands, fft = [], np.fft.fft
+
+        def recorder(a, *args, axis=-1, **kwargs):
+            if axis == 0:
+                operands.append((a.shape, a.flags.c_contiguous))
+            return fft(a, *args, axis=axis, **kwargs)
+
+        cpus(blocks)
+        monkeypatch.setattr(np.fft, "fft", recorder)
+        sv.solve_potential_v(perturbed_field(n))
+        w = potential._SLAB_ROWS // blocks
+        assert operands == [((2 * n, w, n + 1), True)] * (2 * n // w)
 
     @FACE_MATRICES
     @pytest.mark.parametrize("blocks", [2, 3])
