@@ -883,12 +883,10 @@ class TestRowBlocks:
         for g, w in zip(self.with_blocks(monkeypatch, blocks, solves), want):
             np.testing.assert_array_equal(g, w)
 
-    @pytest.mark.parametrize("n", [16, 32, 64])
-    @pytest.mark.parametrize("blocks", [2, 4])
-    def test_fft_passes_take_the_step_kernels_block_count(self, monkeypatch, n, blocks):
-        # at the default floor: one block at 16^3 and 32^3, one per CPU at 64^3. The z/y forward
-        # and each y/z inverse cut the n x rows, the x pass as many lanes; a full solve inverts
-        # four spectra, a potential-only solve one
+    @staticmethod
+    def handoffs(monkeypatch, n, blocks):
+        # (task, n, blocks) of each pool hand-off of a full and a potential-only solve at the
+        # default floor
         handed, in_blocks = [], potential._in_blocks
 
         def recorder(task, *args):
@@ -900,6 +898,23 @@ class TestRowBlocks:
         u = perturbed_field(n)
         sv.solve_potential_fast(u)
         sv.solve_potential_v(u)
+        return handed
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("blocks", [2, 4])
+    def test_x_pass_takes_the_step_kernels_block_count(self, monkeypatch, n, blocks):
+        # at the default floor: one lane at 16^3 and 32^3, one per CPU at 64^3
+        lanes = [k for task, _, k in self.handoffs(monkeypatch, n, blocks) if task == "_x_pass"]
+        want = min(potential._step_blocks(n ** 3), potential._SLAB_ROWS)
+        assert lanes == [want, want] == [{16: 1, 32: 1, 64: blocks}[n]] * 2
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("blocks", [2, 4])
+    def test_fft_passes_take_the_step_kernels_block_count(self, monkeypatch, n, blocks):
+        # at the default floor: one block at 16^3 and 32^3, one per CPU at 64^3. The z/y forward
+        # and each y/z inverse cut the n x rows, the x pass as many lanes; a full solve inverts
+        # four spectra, a potential-only solve one
+        handed = self.handoffs(monkeypatch, n, blocks)
         want = potential._step_blocks(n ** 3)
         assert want == {16: 1, 32: 1, 64: blocks}[n]
         forward, x, inverse = ("_forward_rows", n, want), ("_x_pass", want, want), ("_inverse_rows", n, want)
